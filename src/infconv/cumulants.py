@@ -11,6 +11,13 @@ t_pi, where t_pi multiplies t_{|V|-1}(subword of V) over blocks V and one
 t_0(a_k) for every element k that is minimal in no block.  For a single
 variable the data is the vector t_0..t_{K-1}; its generating function is
 the T-transform: T(z) = sum t_n z^n.
+
+Routes for a single variable: t_coeffs_from_moments reads the coefficients
+off the T-series (production).  moments_from_t and kappa_from_t(route=
+"linked") are the oracles: literal linked-partition sums, grouped by block
+type because t_pi then depends only on the multiset of block sizes.  Words
+in several letters (make_mixed_t, t_pi_value) cannot be grouped and are
+summed partition by partition.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 
 from .dual import DualScalar
 from .errors import InvalidInputError, MathDomainError, SizeLimitError
-from .laws import InfLaw
+from .laws import InfLaw, t_transform
 from .partitions import (
     LinkedPartition,
     SetPartition,
@@ -38,6 +45,8 @@ from .partitions import (
 Word = tuple
 MomentFn = Callable[[Word], DualScalar]
 TFn = Callable[[Word], DualScalar]
+# (sorted block sizes, representative partition, number of partitions)
+TypeTable = tuple[tuple[tuple[int, ...], LinkedPartition, int], ...]
 
 
 @lru_cache(maxsize=32)
@@ -205,6 +214,37 @@ def inf_cumulants_direct(law: InfLaw) -> np.ndarray:
 # -- t-coefficients ----------------------------------------------------------
 
 
+def _size_key(pi: LinkedPartition) -> tuple[int, ...]:
+    return tuple(sorted(len(b) for b in pi.blocks))
+
+
+def _group_by_type(parts) -> TypeTable:
+    reps: dict[tuple[int, ...], LinkedPartition] = {}
+    counts: dict[tuple[int, ...], int] = {}
+    for pi in parts:
+        key = _size_key(pi)
+        reps.setdefault(key, pi)
+        counts[key] = counts.get(key, 0) + 1
+    return tuple((key, reps[key], counts[key]) for key in sorted(reps))
+
+
+@lru_cache(maxsize=16)
+def _ncl_types(n: int) -> TypeTable:
+    """(sorted block sizes, representative, count) for each block type of NCL(n).
+
+    For a single variable t_pi depends only on the block sizes: one factor
+    t_{|V|-1} per block and n - #blocks factors of t_0.
+    """
+    return _group_by_type(_ncl(n))
+
+
+@lru_cache(maxsize=16)
+def _linked_full_types(n: int) -> TypeTable:
+    """As _ncl_types, over the linked class of the full block {1..n}."""
+    full = (tuple(range(1, n + 1)),)
+    return _group_by_type(pi for pi in _ncl(n) if connected_classes(pi).blocks == full)
+
+
 def _t_pi_single(pi: LinkedPartition, tvals: Sequence[DualScalar]) -> DualScalar:
     acc = DualScalar(1.0)
     for block in pi.blocks:
@@ -215,26 +255,28 @@ def _t_pi_single(pi: LinkedPartition, tvals: Sequence[DualScalar]) -> DualScalar
 
 
 def t_coeffs_from_moments(law: InfLaw) -> TCoeffVector:
-    """Solve the linked-partition moment expansion for t~_0..t~_{K-1}."""
+    """t~_0..t~_{K-1} read off the T-transform, their generating function.
+
+    This is the production route; moments_from_t sums the linked partitions
+    literally and serves as its oracle.
+    """
     K = law.K
     if K > 10:
-        raise SizeLimitError("t-coefficient extraction enumerates NCL(n); K <= 10")
+        raise SizeLimitError("the linked-partition oracle confirms t-vectors up to K = 10")
     if law.m[0] == 0:
         raise MathDomainError("t-coefficients need an invertible first moment")
-    tvals: list[DualScalar] = [law.dual_moment(1)]
-    for n in range(2, K + 1):
-        rest = DualScalar(0.0)
-        for pi in _ncl(n):
-            if pi.num_blocks == 1:
-                continue  # the full block carries the unknown t_{n-1}
-            rest = rest + _t_pi_single(pi, tvals + [DualScalar(0.0)])
-        lead = tvals[0] ** (n - 1)
-        tvals.append((law.dual_moment(n) - rest) / lead)
-    return TCoeffVector(K, [t.body for t in tvals], [t.eps for t in tvals])
+    if K == 1:
+        return TCoeffVector(1, [law.m[0]], [law.m_prime[0]])
+    T = t_transform(law)
+    return TCoeffVector(K, T.body[:K], T.eps[:K])
 
 
 def moments_from_t(tvec: TCoeffVector) -> InfLaw:
-    """Forward linked-partition sum; inverse of t_coeffs_from_moments."""
+    """Forward linked-partition sum; oracle for t_coeffs_from_moments.
+
+    Sums count * t_pi over the block types of NCL(n), one representative
+    partition per type.
+    """
     K = tvec.K
     if K > 10:
         raise SizeLimitError("NCL enumeration supports n <= 10")
@@ -242,8 +284,8 @@ def moments_from_t(tvec: TCoeffVector) -> InfLaw:
     out = []
     for n in range(1, K + 1):
         acc = DualScalar(0.0)
-        for pi in _ncl(n):
-            acc = acc + _t_pi_single(pi, tvals)
+        for _, rep, count in _ncl_types(n):
+            acc = acc + count * _t_pi_single(rep, tvals)
         out.append(acc)
     return InfLaw.from_moments(out)
 
@@ -377,7 +419,8 @@ def kappa_from_t(tvec: TCoeffVector, route: str = "linked") -> CumulantVector:
     """Cumulants from single-variable t-data.
 
     route="linked": sum t_pi over the linked class of the full block, with
-    the literal product rule supplying the infinitesimal part.
+    the literal product rule supplying the infinitesimal part; partitions
+    of one block type share a single evaluation, weighted by their count.
     route="interval": the closed forms summing over NC(n-1), where each
     block V contributes t_{|V|} and the minimum carries a power of t_0.
     """
@@ -400,14 +443,11 @@ def _kappa_from_t_linked(tvec: TCoeffVector) -> CumulantVector:
     kp = np.zeros(K, dtype=complex)
     for n in range(1, K + 1):
         word = ("a",) * n
-        full = SetPartition.of(n, [list(range(1, n + 1))], validate=False)
         body = 0.0 + 0.0j
         eps = 0.0 + 0.0j
-        for pi in _ncl(n):
-            if connected_classes(pi).blocks != full.blocks:
-                continue
-            body += _t_pi_body(pi, tvec)
-            eps += d_t_pi_value(pi, word, t_fn)
+        for _, rep, count in _linked_full_types(n):
+            body += count * _t_pi_body(rep, tvec)
+            eps += count * d_t_pi_value(rep, word, t_fn)
         kb[n - 1] = body
         kp[n - 1] = eps
     return CumulantVector(K, kb, kp)

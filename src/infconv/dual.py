@@ -75,15 +75,3 @@ class DualScalar:
 
     def __repr__(self) -> str:
         return f"DualScalar({self.body!r}, {self.eps!r})"
-
-
-def d_add(a, b) -> DualScalar:
-    return DualScalar.of(a) + b
-
-
-def d_mul(a, b) -> DualScalar:
-    return DualScalar.of(a) * b
-
-
-def d_inv(a) -> DualScalar:
-    return DualScalar.of(a).inv()

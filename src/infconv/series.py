@@ -262,27 +262,3 @@ class DualSeries:
 
     def __repr__(self) -> str:
         return f"DualSeries(order={self.order}, body={self.body!r}, eps={self.eps!r})"
-
-
-def series_add(f: DualSeries, g: DualSeries) -> DualSeries:
-    return f + g
-
-
-def series_mul(f: DualSeries, g: DualSeries) -> DualSeries:
-    return f * g
-
-
-def series_inv(f: DualSeries) -> DualSeries:
-    return f.inv()
-
-
-def series_compose(f: DualSeries, g: DualSeries) -> DualSeries:
-    return f.compose(g)
-
-
-def series_reversion(f: DualSeries) -> DualSeries:
-    return f.reversion()
-
-
-def series_derivative(f: DualSeries) -> DualSeries:
-    return f.derivative()

@@ -9,6 +9,7 @@ from infconv import (
     InfLaw,
     InvalidInputError,
     MathDomainError,
+    SetPartition,
     SizeLimitError,
     TCoeffVector,
     boolean_mixed_moments,
@@ -19,6 +20,7 @@ from infconv import (
     free_mixed_moments,
     inf_cumulants_direct,
     kappa_from_t,
+    linked_class,
     make_mixed_t,
     mixed_vanishing_check,
     moments_from_cumulants,
@@ -27,6 +29,7 @@ from infconv import (
     t_coeffs_from_moments,
     t_pi_value,
 )
+from infconv.cumulants import _linked_full_types, _ncl_types, _size_key
 
 CATALAN = [1.0, 2.0, 5.0, 14.0, 42.0, 132.0, 429.0, 1430.0]
 
@@ -125,6 +128,26 @@ def test_t_scales_linearly_with_the_variable():
     assert np.max(np.abs(tvc.t_prime - 1.7 * tv.t_prime)) < 1e-10
 
 
+def test_t_coeffs_of_a_single_moment():
+    law = InfLaw.from_moments([DualScalar(1.5, -0.25)])
+    tv = t_coeffs_from_moments(law)
+    assert tv.K == 1
+    assert tv.t[0] == 1.5
+    assert tv.t_prime[0] == -0.25
+
+
+@pytest.mark.parametrize("K", [1, 4])
+def test_t_coeffs_need_invertible_mean(K):
+    law = InfLaw.from_moments([DualScalar(0.0, 1.0)] + [DualScalar(1.0)] * (K - 1))
+    with pytest.raises(MathDomainError):
+        t_coeffs_from_moments(law)
+
+
+def test_t_coeffs_size_guard():
+    with pytest.raises(SizeLimitError):
+        t_coeffs_from_moments(InfLaw.point_mass(1.0, K=11))
+
+
 def test_t_vector_requires_invertible_mean():
     with pytest.raises(MathDomainError):
         TCoeffVector(2, [0.0, 1.0], [0.0, 0.0])
@@ -145,6 +168,45 @@ def test_kappa_from_t_unknown_route():
     tv = TCoeffVector(2, [1.0, 0.5], [0.0, 0.0])
     with pytest.raises(InvalidInputError):
         kappa_from_t(tv, route="sideways")
+
+
+# -- block-type tables --------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ncl_type_table_covers_ncl(n):
+    table = _ncl_types(n)
+    assert sum(count for _, _, count in table) == len(enumerate_ncl(n))
+    assert all(_size_key(rep) == key for key, rep, _ in table)
+    assert len({key for key, _, _ in table}) == len(table)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_full_block_type_table_covers_linked_class(n):
+    table = _linked_full_types(n)
+    full = SetPartition.of(n, [list(range(1, n + 1))])
+    assert sum(count for _, _, count in table) == len(linked_class(full))
+    assert all(_size_key(rep) == key for key, rep, _ in table)
+
+
+def test_grouped_moments_from_t_matches_ungrouped_sum():
+    rng = np.random.default_rng(29)
+    K = 6
+    t = rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K)
+    t[0] = rng.uniform(0.7, 1.3)
+    tvec = TCoeffVector(K, t, rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K))
+
+    def t_fn(word):
+        return tvec.dual(len(word) - 1)
+
+    grouped = moments_from_t(tvec)
+    for n in range(1, K + 1):
+        word = ("a",) * n
+        total = DualScalar(0.0)
+        for pi in enumerate_ncl(n):
+            total = total + t_pi_value(pi, word, t_fn)
+        # order-6 sums reach ~1e3, so compare relative to the term's size
+        assert abs(grouped.m[n - 1] - total.body) <= 1e-12 * max(1.0, abs(total.body))
+        assert abs(grouped.m_prime[n - 1] - total.eps) <= 1e-12 * max(1.0, abs(total.eps))
 
 
 # -- linked-partition summands -----------------------------------------------------
