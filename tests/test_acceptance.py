@@ -219,20 +219,28 @@ def test_criterion_7_wishart_monte_carlo():
     )
     assert [e.phi_pred for e in single.extrapolation] == [1.0, 2.0, 5.0, 14.0]
     assert [e.phi_prime_pred for e in single.extrapolation] == [2.0, 6.0, 20.0, 70.0]
-    for e in single.extrapolation:
-        assert abs(e.phi_est - e.phi_pred) <= 3 * e.phi_stderr, f"phi_{e.k}"
+    margins = single.margins(rel=0.15, sigmas=3.0)
+    for e, (_, m_phi, m_phi_prime) in zip(single.extrapolation, margins):
+        assert abs(e.phi_est - e.phi_pred) <= 3 * e.phi_stderr, (
+            f"phi_{e.k}: margin {m_phi:.3f}")
         allow = max(3 * e.phi_prime_stderr, 0.15 * abs(e.phi_prime_pred))
-        assert abs(e.phi_prime_est - e.phi_prime_pred) <= allow, f"phi'_{e.k}"
-    assert single.checks_pass(rel=0.15, sigmas=3.0)
+        assert abs(e.phi_prime_est - e.phi_prime_pred) <= allow, (
+            f"phi'_{e.k}: margin {m_phi_prime:.3f}")
+    assert single.checks_pass(rel=0.15, sigmas=3.0), f"margins {margins}"
+    worst = max(max(m_phi, m_phi_prime) for _, m_phi, m_phi_prime in margins)
 
     # product of two independent matrices, square case c' = 0: Fuss-Catalan
     prod = product_experiment(
         WishartConfig(c=1.0, c_prime=0.0, N_list=(200, 400),
                       trials=1200, k_max=4, seed=SEED)
     )
-    for e, want in zip(prod.extrapolation, (1.0, 3.0, 12.0, 55.0)):
+    prod_margins = prod.margins(sigmas=3.0)
+    for e, want, (_, m_phi, _) in zip(prod.extrapolation, (1.0, 3.0, 12.0, 55.0),
+                                      prod_margins):
         assert e.phi_pred == pytest.approx(want, abs=1e-9)
-        assert abs(e.phi_est - want) <= 3 * e.phi_stderr, f"product phi_{e.k}"
+        assert abs(e.phi_est - want) <= 3 * e.phi_stderr, (
+            f"product phi_{e.k}: margin {m_phi:.3f}")
+        worst = max(worst, m_phi)
 
     # infinitesimal first product moment: 2 c c' for c = c' = 1
     prod1 = product_experiment(
@@ -240,15 +248,17 @@ def test_criterion_7_wishart_monte_carlo():
                       trials=4000, k_max=1, seed=SEED)
     )
     e1 = prod1.extrapolation[0]
+    _, _, m1 = prod1.margins(rel=0.15, sigmas=3.0)[0]
     assert e1.phi_prime_pred == pytest.approx(2.0, abs=1e-12)
     allow = max(3 * e1.phi_prime_stderr, 0.15 * 2.0)
-    assert abs(e1.phi_prime_est - 2.0) <= allow
+    assert abs(e1.phi_prime_est - 2.0) <= allow, f"product phi'_1: margin {m1:.3f}"
+    worst = max(worst, m1)
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
     print(f"criterion 7: pass (single run within 3 stderr, product moments "
           f"1,3,12,55 within 3 stderr, phi'(xy) = {e1.phi_prime_est:.3f} vs 2.0; "
-          f"{elapsed:.0f}s)")
+          f"worst margin {worst:.3f}; {elapsed:.0f}s)")
 
 
 def test_criterion_8_centered_alternating_words():

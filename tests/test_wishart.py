@@ -4,6 +4,8 @@ Unit tests stay at small matrix sizes; statistical bands are wide (5 sigma)
 and every estimate is pinned to a fixed seed, so reruns are bit-identical.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,16 @@ from infconv import (
     product_experiment,
     sample_wishart,
     trace_powers,
+)
+from infconv.wishart import (
+    McEstimate,
+    McExtrapolation,
+    _bidiagonal_gammas,
+    _product_lane,
+    _product_trace_powers,
+    _reduced_product_trace_powers,
+    _single_lane,
+    _tridiagonal_trace_powers,
 )
 
 SMOKE = WishartConfig(c=1.0, c_prime=1.0, N_list=(32, 64), trials=100,
@@ -89,12 +101,84 @@ def test_normalized_trace_concentrates_at_aspect_ratio():
     assert abs(np.mean(vals) - M / N) < 5 * stderr
 
 
+# -- the bidiagonal production route ---------------------------------------------
+
+# (M, N): M > N, M < N, M = N and the n = min(M, N) = 1 edge on both sides
+SHAPES = [(9, 6), (4, 7), (5, 5), (1, 4), (3, 1)]
+
+
+def _embed(T, N):
+    X = np.zeros((N, N), dtype=complex)
+    X[:T.shape[0], :T.shape[0]] = T
+    return X
+
+
+@pytest.mark.parametrize("M,N", SHAPES)
+def test_banded_traces_match_dense_trace_powers(M, N):
+    rng = np.random.default_rng(11)
+    n = min(M, N)
+    diag, off = rng.standard_normal((3, n)), rng.standard_normal((3, n - 1))
+    for k_max in (1, 2, 5, 6):
+        got = _tridiagonal_trace_powers(diag / N, off / N, k_max) / N
+        assert got.shape == (3, k_max)
+        for t in range(3):
+            T = np.diag(diag[t]) + np.diag(off[t], 1) + np.diag(off[t], -1)
+            want = trace_powers(_embed(T / N, N), k_max)
+            np.testing.assert_allclose(got[t], want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("M,N", SHAPES)
+def test_reduced_product_matches_dense_product(M, N):
+    # tr((F F^T G*G)^k) = tr((F^T G*G F)^k) holds exactly, not only in law
+    rng = np.random.default_rng(12)
+    d2, e2 = _bidiagonal_gammas(M, N, 1, rng)
+    d, e = np.sqrt(d2[0]), np.sqrt(e2[0])
+    n = d.size
+    B = np.diag(d) + np.diag(e, -1)
+    G = (rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))) / np.sqrt(2)
+    X1 = _embed(B @ B.T / N, N)
+    X2 = G.conj().T @ G / N
+    for k_max in (1, 2, 4, 6):
+        got = _reduced_product_trace_powers(G[:, :n].copy(), d, e, N, k_max)
+        want = _product_trace_powers(X1, X2, k_max)
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("M,N", [(12, 10), (6, 10)])
+def test_single_route_hits_exact_finite_size_moments(M, N):
+    # E tr (G*G)^k = MN, MN(M+N), MN(M^2+N^2+3MN+1) for complex Gaussian G
+    trials = 20000
+    vals = _single_lane(M, N, trials, 3, np.random.default_rng(13))
+    # vals are tr_N(X^k) = tr((G*G)^k) / N^(k+1)
+    raw = vals * np.array([N**2, N**3, N**4], dtype=float)
+    exact = [M * N, M * N * (M + N), M * N * (M * M + N * N + 3 * M * N + 1)]
+    z = (raw.mean(axis=0) - exact) / (raw.std(axis=0, ddof=1) / np.sqrt(trials))
+    assert np.all(np.abs(z) < 5), z
+
+
+@pytest.mark.parametrize("M,N", [(12, 10), (6, 10)])
+@pytest.mark.parametrize("k_max", [1, 4])
+def test_reduced_product_agrees_with_dense_reference(M, N, k_max):
+    trials = 3000
+    fast = _product_lane(M, N, trials, k_max, np.random.default_rng(14))
+    rng = np.random.default_rng(15)
+    dense = np.array([
+        _product_trace_powers(sample_wishart(M, N, rng), sample_wishart(M, N, rng),
+                              k_max)
+        for _ in range(trials)
+    ])
+    se2 = (fast.var(axis=0, ddof=1) + dense.var(axis=0, ddof=1)) / trials
+    z = (fast.mean(axis=0) - dense.mean(axis=0)) / np.sqrt(se2)
+    assert np.all(np.abs(z) < 5), z
+
+
 # -- the seeded experiment --------------------------------------------------------
 
 def test_estimates_are_deterministic():
     a = estimate_moments(SMOKE)
     b = estimate_moments(SMOKE)
     assert a.to_json() == b.to_json()
+    assert product_experiment(SMOKE).to_json() == product_experiment(SMOKE).to_json()
 
 
 def test_rows_cover_the_grid():
@@ -131,6 +215,27 @@ def test_infinitesimal_prediction_for_first_moment():
 def test_smoke_run_passes_its_own_checks():
     est = estimate_moments(SMOKE)
     assert est.checks_pass(rel=0.5, sigmas=5.0)
+
+
+def _estimate(*extrapolation):
+    return McEstimate(SMOKE, False, (), tuple(extrapolation))
+
+
+def test_margins_are_deviation_over_allowance():
+    # k, phi_est, phi_stderr, phi'_est, phi'_stderr, phi_pred, phi'_pred
+    est = _estimate(McExtrapolation(1, 0.8, 0.1, 15.0, 1.0, 1.0, 10.0),
+                    McExtrapolation(2, 2.0, 0.0, 6.1, 0.0, 2.0, 6.0))
+    (k1, a1, b1), (k2, a2, b2) = est.margins(rel=0.15, sigmas=3.0)
+    assert (k1, k2) == (1, 2)
+    assert a1 == pytest.approx(0.2 / 0.3)    # |0.8 - 1| over 3 stderr
+    assert b1 == pytest.approx(5.0 / 3.0)    # 3 stderr beats 0.15 * 10
+    assert a2 == 0.0                         # exact hit, zero allowance
+    assert b2 == pytest.approx(0.1 / 0.9)    # 0.15 * 6 beats 3 * 0
+    assert not est.checks_pass(rel=0.15, sigmas=3.0)
+    assert est.checks_pass(rel=0.15, sigmas=5.1)
+    miss = _estimate(McExtrapolation(1, 1.5, 0.0, 0.0, 0.0, 1.0, 0.0))
+    assert miss.margins()[0][1:] == (math.inf, 0.0)
+    assert not miss.checks_pass()
 
 
 def test_csv_header_and_width():
