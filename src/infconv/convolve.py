@@ -3,7 +3,10 @@
 Each product kind is computed along two fully independent routes:
 
 * an oracle that expands words letter by letter straight from the relevant
-  infinitesimal independence definition, over dual scalars, and
+  infinitesimal independence definition, over dual scalars (the Boolean and
+  monotone oracles sum all subsequence words in one run-tracking sweep over
+  the factor sequence; ``monotone_word_moment`` is the word-by-word
+  reference), and
 * the transform identity (dual T product, dual eta-tilde product, or dual
   kappa/rho composition) followed by moment recovery.
 
@@ -235,8 +238,14 @@ def oracle_monotone_product(
 ) -> InfLaw:
     """Dual moments of yx (or xy) with x-1 lower, y higher.
 
-    Expands each factor x = 1 + a, reduces every subsequence word by the
-    monotone peel-out rule.
+    Expands each factor x = 1 + a, so the k-th moment sums the subsequence
+    words of (y a?)^k for "yx" and of (a? y)^k for "xy".  By the monotone
+    peel-out rule a word is worth m_y(r) for each maximal y-run of length r,
+    times m_a(p) for its p letters a.  A run-tracking sweep over the factor
+    sequence sums all words at once: the state is (a's taken, length of the
+    open y-run), taking an a closes the open run, and the read-out closes the
+    last run.  Factor sequences for k are prefixes of the one for K, so one
+    sweep yields every moment, reading out after each k-th block.
     """
     if not 1 <= K <= 8:
         raise SizeLimitError("monotone oracle supports 1 <= K <= 8")
@@ -244,23 +253,25 @@ def oracle_monotone_product(
         raise SizeLimitError("input laws hold fewer than K moments")
     if order not in ("yx", "xy"):
         raise InvalidInputError("order must be 'yx' or 'xy'")
-    lawA = shifted(lawX, -1.0)
+    lawA = shifted(lawX.truncated(K), -1.0)
+    my = [lawY.dual_moment(r) for r in range(K + 1)]
+    ma = [lawA.dual_moment(p) for p in range(K + 1)]
+    block = ("y", "a") if order == "yx" else ("a", "y")
+    # states: (a's taken, open y-run length) -> dual weight
+    states: dict[tuple, DualScalar] = {(0, 0): DualScalar(1.0)}
     out = []
-    for k in range(1, K + 1):
+    for _ in range(K):
+        for letter in block:
+            if letter == "y":  # every factor y is taken
+                states = {(p, r + 1): w for (p, r), w in states.items()}
+                continue
+            new = dict(states)  # skip the a
+            for (p, r), w in states.items():  # take the a, closing the run
+                new[(p + 1, 0)] = new.get((p + 1, 0), DualScalar(0.0)) + w * my[r]
+            states = new
         total = DualScalar(0.0)
-        for mask in range(1 << k):
-            word: list[str] = []
-            for i in range(k):
-                take = (mask >> i) & 1
-                if order == "yx":
-                    word.append("y")
-                    if take:
-                        word.append("a")
-                else:
-                    if take:
-                        word.append("a")
-                    word.append("y")
-            total = total + monotone_word_moment(tuple(word), lawA, lawY)
+        for (p, r), w in states.items():
+            total = total + w * my[r] * ma[p]
         out.append(total)
     return InfLaw.from_moments(out)
 

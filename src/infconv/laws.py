@@ -150,11 +150,15 @@ class InfLaw:
 def shifted(law: InfLaw, c) -> InfLaw:
     """Law of x + c for a dual or complex constant c (binomial transform)."""
     cv = DualScalar.of(c)
+    powers = [DualScalar(1.0)]
+    for _ in range(law.K):
+        powers.append(powers[-1] * cv)
+    moments = [law.dual_moment(j) for j in range(law.K + 1)]
     out = []
     for n in range(1, law.K + 1):
         acc = DualScalar(0.0)
         for j in range(0, n + 1):
-            acc = acc + math.comb(n, j) * (cv ** (n - j)) * law.dual_moment(j)
+            acc = acc + math.comb(n, j) * powers[n - j] * moments[j]
         out.append(acc)
     return InfLaw.from_moments(out)
 
@@ -194,14 +198,10 @@ def eta_plain(law: InfLaw) -> DualSeries:
     return p * _one_plus(p).inv()
 
 
-def kappa_transform(law: InfLaw) -> DualSeries:
-    """theta / (1 + theta) where theta collapses to psi for scalar laws."""
-    return eta_plain(law)
-
-
-def rho_transform(law: InfLaw) -> DualSeries:
-    """varrho (1 + varrho)^{-1} where varrho collapses to psi for scalar laws."""
-    return eta_plain(law)
+# kappa = theta / (1 + theta) and rho = varrho (1 + varrho)^{-1}; theta and
+# varrho both collapse to psi for scalar laws, so both are eta_plain.
+kappa_transform = eta_plain
+rho_transform = eta_plain
 
 
 def _require_mean(law: InfLaw) -> None:

@@ -155,7 +155,9 @@ class DualSeries:
         acc = DualSeries.constant(self.coeff(m), m)
         gt = g.truncated(m) if g.order > m else g
         for k in range(m - 1, -1, -1):
-            acc = acc * gt + DualSeries.constant(self.coeff(k), m)
+            acc = acc * gt
+            acc.body[0] += self.body[k]
+            acc.eps[0] += self.eps[k]
         return acc
 
     def derivative(self) -> "DualSeries":
@@ -166,21 +168,23 @@ class DualSeries:
         return DualSeries(self.order - 1, ks * self.body[1:], ks * self.eps[1:])
 
     def reversion(self) -> "DualSeries":
-        """Compositional inverse; needs f(0) = 0 and invertible linear term."""
+        """Compositional inverse g = f^{<-1>} by Lagrange inversion.
+
+        Needs f(0) = 0 and an invertible linear term.  With h(w) = w / f(w),
+        [z^n] g = (1/n) [w^(n-1)] h^n, which holds over any commutative ring
+        containing the rationals, dual numbers included.
+        """
         if self.body[0] != 0 or self.eps[0] != 0:
             raise MathDomainError("reversion needs f(0) = 0")
         if self.order < 1 or self.body[1] == 0:
             raise MathDomainError("reversion needs an invertible linear coefficient")
         m = self.order
-        f1_inv = self.coeff(1).inv()
+        h = self.shift_down().inv()
         g = DualSeries(m)
-        g.body[1] = f1_inv.body
-        g.eps[1] = f1_inv.eps
-        for n in range(2, m + 1):
-            r = self.compose(g)
-            corr = DualScalar(r.body[n], r.eps[n]) * f1_inv
-            g.body[n] = -corr.body
-            g.eps[n] = -corr.eps
+        for n in range(1, m + 1):
+            hn = h if n == 1 else hn * h
+            g.body[n] = hn.body[n - 1] / n
+            g.eps[n] = hn.eps[n - 1] / n
         return g
 
     def shift_up(self) -> "DualSeries":

@@ -218,34 +218,21 @@ def psi_block_formula(law: InfLaw, b, c) -> UT2:
     return _formula_block(TransformKind.PSI, law, b, c)
 
 
-def _eta_like_direct(law: InfLaw, b, c) -> UT2:
+def eta_block(law: InfLaw, b, c) -> UT2:
+    """Matrix eta in the plain normalization: Psi (I + Psi)^{-1}.
+
+    The matrix kappa and rho transforms coincide with it for scalar laws.
+    """
     P = psi_block(law, b, c)
     return P * (UT2.identity(P.order) + P).inv()
-
-
-def eta_block(law: InfLaw, b, c) -> UT2:
-    """Matrix eta in the plain normalization: Psi (I + Psi)^{-1}."""
-    return _eta_like_direct(law, b, c)
 
 
 def eta_block_formula(law: InfLaw, b, c) -> UT2:
     return _formula_block(TransformKind.ETA_PLAIN, law, b, c)
 
 
-def kappa_block(law: InfLaw, b, c) -> UT2:
-    return _eta_like_direct(law, b, c)
-
-
-def kappa_block_formula(law: InfLaw, b, c) -> UT2:
-    return _formula_block(TransformKind.KAPPA, law, b, c)
-
-
-def rho_block(law: InfLaw, b, c) -> UT2:
-    return _eta_like_direct(law, b, c)
-
-
-def rho_block_formula(law: InfLaw, b, c) -> UT2:
-    return _formula_block(TransformKind.RHO, law, b, c)
+kappa_block = rho_block = eta_block
+kappa_block_formula = rho_block_formula = eta_block_formula
 
 
 def t_block(law: InfLaw, w, v) -> UT2:
@@ -272,12 +259,8 @@ def _formula_block(kind: TransformKind, law: InfLaw, b, c) -> UT2:
 def block_transform(kind: TransformKind, law: InfLaw, b, c) -> UT2:
     if kind is TransformKind.PSI:
         return psi_block(law, b, c)
-    if kind is TransformKind.ETA_PLAIN:
+    if kind in (TransformKind.ETA_PLAIN, TransformKind.KAPPA, TransformKind.RHO):
         return eta_block(law, b, c)
-    if kind is TransformKind.KAPPA:
-        return kappa_block(law, b, c)
-    if kind is TransformKind.RHO:
-        return rho_block(law, b, c)
     if kind is TransformKind.T:
         return t_block(law, b, c)
     if kind is TransformKind.S:

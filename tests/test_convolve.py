@@ -82,6 +82,40 @@ def test_monotone_word_confluence():
         assert val.almost_equal(base, 1e-12)
 
 
+def _rand_complex_law(rng, K):
+    m = rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K)
+    mp = rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K)
+    return InfLaw(K, m, mp)
+
+
+def _monotone_by_words(lawX, lawY, K, order):
+    """Sum monotone_word_moment over all 2^k words of (y(1+a))^k or ((1+a)y)^k."""
+    lawA = shifted(lawX, -1.0)
+    out = []
+    for k in range(1, K + 1):
+        total = DualScalar(0.0)
+        for mask in range(1 << k):
+            word = []
+            for i in range(k):
+                a = ["a"] if (mask >> i) & 1 else []
+                word += ["y"] + a if order == "yx" else a + ["y"]
+            total = total + monotone_word_moment(tuple(word), lawA, lawY)
+        out.append(total)
+    return InfLaw.from_moments(out)
+
+
+@pytest.mark.parametrize("order", ["yx", "xy"])
+def test_monotone_sweep_matches_word_expansion(order):
+    rng = np.random.default_rng(39)
+    for K in range(1, 7):
+        for _ in range(3):
+            lawX, lawY = _rand_complex_law(rng, K), _rand_complex_law(rng, K)
+            got = oracle_monotone_product(lawX, lawY, K, order=order)
+            want = _monotone_by_words(lawX, lawY, K, order)
+            for g, w in ((got.m, want.m), (got.m_prime, want.m_prime)):
+                assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
 def test_monotone_word_rejects_stray_letters():
     law = InfLaw.point_mass(1.0, K=4)
     with pytest.raises(InvalidInputError):

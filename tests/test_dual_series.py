@@ -120,6 +120,28 @@ def test_compose_reversion_roundtrip():
         assert r.compose(f).almost_equal(ident, 1e-10)
 
 
+def _rand_complex_series(rng, order):
+    """Vanishing at 0, complex body and eps, linear term with an eps part."""
+    body = rng.uniform(-1, 1, order + 1) + 1j * rng.uniform(-1, 1, order + 1)
+    eps = rng.uniform(-1, 1, order + 1) + 1j * rng.uniform(-1, 1, order + 1)
+    body[0] = eps[0] = 0.0
+    body[1] = rng.uniform(0.7, 1.3) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    return DualSeries(order, body, eps)
+
+
+@pytest.mark.parametrize("order", range(1, 11))  # 1 is the smallest order accepted
+def test_lagrange_reversion_is_two_sided_inverse(order):
+    rng = np.random.default_rng(100 + order)
+    ident = DualSeries.identity(order)
+    for _ in range(20):
+        f = _rand_complex_series(rng, order)
+        assert f.eps[1] != 0
+        g = f.reversion()
+        scale = max(np.max(np.abs(g.body)), np.max(np.abs(g.eps)))
+        for residual in (f.compose(g), g.compose(f)):
+            assert max(residual.max_abs_diff(ident)) <= 1e-12 * scale
+
+
 def test_reversion_of_mobius_map():
     # z/(1-z) reverts to z/(1+z): coefficients 1,1,1,... vs 1,-1,1,-1,...
     f = DualSeries.from_coeffs([0] + [1.0] * 6)
