@@ -246,6 +246,11 @@ def oracle_monotone_product(
     open y-run), taking an a closes the open run, and the read-out closes the
     last run.  Factor sequences for k are prefixes of the one for K, so one
     sweep yields every moment, reading out after each k-th block.
+
+    For scalar laws the "xy" and "yx" moments are equal: the word
+    a^b1 y a^b2 y ... a^bk y rotates to y a^b2 y ... a^bk y a^b1, a word of
+    (y a?)^k with the same y-runs.  The two orders differ only for
+    operator-valued data; ``order`` stays part of the interface.
     """
     if not 1 <= K <= 8:
         raise SizeLimitError("monotone oracle supports 1 <= K <= 8")

@@ -1,10 +1,11 @@
 """Free cumulants, infinitesimal cumulants, and t-coefficients.
 
 Moment/cumulant conversion runs over dual scalars, so the eps component
-implements the infinitesimal (primed) recursion automatically.  The literal
-partition sums (one-primed-block cumulant recursion, linked-partition
-t-sums, product rule for t) are separate code paths and serve as
-cross-checks in the test suite.
+implements the infinitesimal (primed) recursion automatically.  It reads
+the first-block gap sums [z^r] M(z)^s off power rows of the moment series,
+built once per call in O(K^3).  The literal partition sums (NC(n)
+cumulant recursion, linked-partition t-sums, product rule for t) are
+separate code paths and serve as cross-checks in the test suite.
 
 t-coefficients: phi(a_1..a_n) = sum over non-crossing linked partitions of
 t_pi, where t_pi multiplies t_{|V|-1}(subword of V) over blocks V and one
@@ -13,11 +14,12 @@ variable the data is the vector t_0..t_{K-1}; its generating function is
 the T-transform: T(z) = sum t_n z^n.
 
 Routes for a single variable: t_coeffs_from_moments reads the coefficients
-off the T-series (production).  moments_from_t and kappa_from_t(route=
-"linked") are the oracles: literal linked-partition sums, grouped by block
-type because t_pi then depends only on the multiset of block sizes.  Words
-in several letters (make_mixed_t, t_pi_value) cannot be grouped and are
-summed partition by partition.
+off the T-series (production).  moments_from_t, kappa_from_t and
+inf_cumulants_direct are the oracles: literal partition sums over NC(n) or
+NCL(n), grouped by block type because a single-variable summand depends
+only on the multiset of block sizes.  Words in several letters
+(make_mixed_t, t_pi_value) cannot be grouped; make_mixed_t sums them
+partition by partition along cached factor plans (_mixed_plan).
 """
 
 from __future__ import annotations
@@ -132,41 +134,55 @@ class TCoeffVector:
 
 
 def cumulants_from_moments(law: InfLaw) -> CumulantVector:
-    """Dual free cumulants via the first-block interval recursion."""
+    """Dual free cumulants via the first-block interval recursion.
+
+    m_n = sum_s kappa_s [z^(n-s)] M(z)^s with M(z) = 1 + sum m_g z^g: the
+    first block has s elements and the n - s others fill its s gaps.
+    """
     K = law.K
     m = [DualScalar(1.0)] + [law.dual_moment(n) for n in range(1, K + 1)]
+    P = _power_rows(K)
     kap: list[DualScalar] = []
     for n in range(1, K + 1):
-        # C[s][r]: sum over s gaps with total size r of products of moments
+        _extend_power_rows(P, m, n)
         acc = m[n]
         for s in range(1, n):
-            acc = acc - kap[s - 1] * _gap_sum(m, s, n - s)
+            acc = acc - kap[s - 1] * P[s][n - s]
         kap.append(acc)
     return CumulantVector(K, [k.body for k in kap], [k.eps for k in kap])
 
 
-def _gap_sum(m: Sequence[DualScalar], s: int, r: int) -> DualScalar:
-    """Sum over s-tuples of gaps (g_1..g_s >= 0, sum r) of prod m_{g_j}."""
-    row = [DualScalar(1.0 if r_ == 0 else 0.0) for r_ in range(r + 1)]
-    for _ in range(s):
-        new = []
-        for rr in range(r + 1):
-            acc = DualScalar(0.0)
-            for g in range(rr + 1):
-                acc = acc + m[g] * row[rr - g]
-            new.append(acc)
-        row = new
-    return row[r]
+def _power_rows(K: int) -> list[list[DualScalar]]:
+    """Rows P[s] = [z^r] M(z)^s for s = 0..K, filled by _extend_power_rows."""
+    return [[DualScalar(1.0 if r == 0 else 0.0) for r in range(K)]] + [[] for _ in range(K)]
+
+
+def _extend_power_rows(P: list[list[DualScalar]], m: Sequence[DualScalar], n: int) -> None:
+    """Append the antidiagonal s + r = n: P[s][n - s] for s = 1..n.
+
+    Needs m_0..m_(n-1) and the antidiagonals below n, so each direction of
+    the recursion extends the rows as its moments become known; all K
+    antidiagonals cost O(K^3) dual products.
+    """
+    for s in range(1, n + 1):
+        r = n - s
+        prev = P[s - 1]
+        acc = DualScalar(0.0)
+        for g in range(r + 1):
+            acc = acc + m[g] * prev[r - g]
+        P[s].append(acc)
 
 
 def moments_from_cumulants(cum: CumulantVector) -> InfLaw:
     """Invert the interval recursion; exact inverse of cumulants_from_moments."""
     K = cum.K
     m: list[DualScalar] = [DualScalar(1.0)]
+    P = _power_rows(K)
     for n in range(1, K + 1):
+        _extend_power_rows(P, m, n)
         acc = DualScalar(0.0)
         for s in range(1, n + 1):
-            acc = acc + cum.dual(s) * _gap_sum(m, s, n - s)
+            acc = acc + cum.dual(s) * P[s][n - s]
         m.append(acc)
     return InfLaw.from_moments(m[1:])
 
@@ -179,24 +195,27 @@ def constant_cumulant_law(c, c_prime=0.0, K: int = 8) -> InfLaw:
 
 
 def inf_cumulants_direct(law: InfLaw) -> np.ndarray:
-    """Literal one-primed-block recursion for the infinitesimal cumulants.
+    """Literal NC(n) recursion for the infinitesimal cumulants.
 
-    Solves m'_n = sum over pi in NC(n) of sum over blocks V of
-    kappa'_{|V|} prod_{W != V} kappa_{|W|}, using body cumulants from the
-    dual recursion.  Independent of the eps bookkeeping; must agree with
+    Solves m_n = sum over pi in NC(n) of prod_V kappa_{|V|} for the body
+    cumulants and, with one primed block, m'_n = sum over pi of sum over
+    blocks V of kappa'_{|V|} prod_{W != V} kappa_{|W|}.  Both summands
+    depend only on the block sizes of pi, so each block type of NC(n) is
+    evaluated once and weighted by its count.  Uses neither the power rows
+    of cumulants_from_moments nor the eps bookkeeping; must agree with
     cumulants_from_moments(law).kappa_prime.
     """
     K = law.K
     if K > 12:
         raise SizeLimitError("literal route enumerates NC(n); K <= 12")
-    kb = cumulants_from_moments(law).kappa
+    kb = np.zeros(K, dtype=complex)
     kp = np.zeros(K, dtype=complex)
     for n in range(1, K + 1):
-        total = 0.0 + 0.0j
-        for pi in _nc(n):
-            if pi.num_blocks == 1:
+        body = 0.0 + 0.0j
+        eps = 0.0 + 0.0j
+        for sizes, _, count in _nc_types(n):
+            if len(sizes) == 1:
                 continue
-            sizes = [len(b) for b in pi.blocks]
             vals = [kb[s - 1] for s in sizes]
             # prefix/suffix products give every leave-one-out product safely
             nblk = len(vals)
@@ -205,9 +224,13 @@ def inf_cumulants_direct(law: InfLaw) -> np.ndarray:
             for i in range(nblk):
                 pre[i + 1] = pre[i] * vals[i]
                 suf[nblk - 1 - i] = suf[nblk - i] * vals[nblk - 1 - i]
+            term = 0.0 + 0.0j
             for v, sv in enumerate(sizes):
-                total += kp[sv - 1] * pre[v] * suf[v + 1]
-        kp[n - 1] = law.m_prime[n - 1] - total
+                term += kp[sv - 1] * pre[v] * suf[v + 1]
+            body += count * pre[nblk]
+            eps += count * term
+        kb[n - 1] = law.m[n - 1] - body
+        kp[n - 1] = law.m_prime[n - 1] - eps
     return kp
 
 
@@ -226,6 +249,12 @@ def _group_by_type(parts) -> TypeTable:
         reps.setdefault(key, pi)
         counts[key] = counts.get(key, 0) + 1
     return tuple((key, reps[key], counts[key]) for key in sorted(reps))
+
+
+@lru_cache(maxsize=32)
+def _nc_types(n: int) -> TypeTable:
+    """(sorted block sizes, representative, count) for each block type of NC(n)."""
+    return _group_by_type(_nc(n))
 
 
 @lru_cache(maxsize=16)
@@ -339,10 +368,37 @@ def d_t_pi_value(pi: LinkedPartition, word: Word, t_fn: TFn) -> complex:
     return total
 
 
+# (distinct factor subsets as 0-based index tuples, factor ids per partition)
+MixedPlan = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+
+
+@lru_cache(maxsize=16)
+def _mixed_plan(n: int) -> MixedPlan:
+    """Factor plans of the t_pi summands of a length-n word.
+
+    For every partition of NCL(n) except the single block, in _ncl order,
+    the ids of its factors as t_pi_value multiplies them: one subset per
+    block, then one singleton per non-minimal element.  Ids index the
+    distinct subsets, so a word evaluates t once per subset.
+    """
+    ids: dict[tuple[int, ...], int] = {}
+    plans = []
+    for pi in _ncl(n):
+        if pi.num_blocks == 1:
+            continue
+        subsets = [tuple(i - 1 for i in block) for block in pi.blocks]
+        subsets += [(k - 1,) for k in non_minimal_elements(pi)]
+        plans.append(tuple(ids.setdefault(sub, len(ids)) for sub in subsets))
+    return tuple(ids), tuple(plans)
+
+
 def make_mixed_t(moment_fn: MomentFn) -> TFn:
     """Memoized multi-letter t solver on top of a mixed moment model.
 
-    Needs every single-letter mean to have invertible body.
+    Subtracts the t_pi of every other partition of NCL(n) from the moment,
+    partition by partition along the cached factor plans of _mixed_plan:
+    mixed words have no block-type grouping.  Needs every single-letter
+    mean to have invertible body.
     """
     cache: dict[Word, DualScalar] = {}
 
@@ -359,15 +415,22 @@ def make_mixed_t(moment_fn: MomentFn) -> TFn:
                 raise MathDomainError(f"mean of letter {word[0]!r} must be invertible")
             cache[word] = val
             return val
-        rest = DualScalar(0.0)
-        for pi in _ncl(n):
-            if pi.num_blocks == 1:
-                continue
-            rest = rest + t_pi_value(pi, word, t)
+        subsets, plans = _mixed_plan(n)
+        factors = [t(tuple(word[i] for i in sub)) for sub in subsets]
+        fb = [f.body for f in factors]
+        fe = [f.eps for f in factors]
+        # dual products on raw (body, eps) pairs, in t_pi_value's order
+        rest_b = rest_e = 0.0
+        for plan in plans:
+            b, e = 1.0, 0.0
+            for i in plan:
+                b, e = b * fb[i], b * fe[i] + e * fb[i]
+            rest_b += b
+            rest_e += e
         lead = DualScalar(1.0)
         for letter in word[1:]:
             lead = lead * t((letter,))
-        val = (moment_fn(word) - rest) / lead
+        val = (moment_fn(word) - DualScalar(rest_b, rest_e)) / lead
         cache[word] = val
         return val
 
@@ -422,7 +485,10 @@ def kappa_from_t(tvec: TCoeffVector, route: str = "linked") -> CumulantVector:
     the literal product rule supplying the infinitesimal part; partitions
     of one block type share a single evaluation, weighted by their count.
     route="interval": the closed forms summing over NC(n-1), where each
-    block V contributes t_{|V|} and the minimum carries a power of t_0.
+    block V contributes t_{|V|} and the minimum carries a power of t_0;
+    the summand depends only on the block sizes, so each block type of
+    NC(n-1) is evaluated once and weighted by its count.
+    Neither route uses the T-series or the moment power rows.
     """
     if route == "linked":
         return _kappa_from_t_linked(tvec)
@@ -472,23 +538,23 @@ def _kappa_from_t_interval(tvec: TCoeffVector) -> CumulantVector:
     for n in range(2, K + 1):
         body = 0.0 + 0.0j
         eps = 0.0 + 0.0j
-        for pi in _nc(n - 1):
-            sizes = [len(b) for b in pi.blocks]
-            if max(sizes) >= K:
-                raise SizeLimitError("t-vector too short for this order")
+        for sizes, _, count in _nc_types(n - 1):
             prod = 1.0 + 0.0j
             for s in sizes:
                 prod *= t[s]
             pw = n - len(sizes)
-            body += prod * t[0] ** pw
+            b = prod * t[0] ** pw
+            e = 0.0 + 0.0j
             for v, sv in enumerate(sizes):
                 term = tp[sv]
                 for w, sw in enumerate(sizes):
                     if w != v:
                         term *= t[sw]
-                eps += term * t[0] ** pw
+                e += term * t[0] ** pw
             if pw >= 1:
-                eps += prod * pw * tp[0] * t[0] ** (pw - 1)
+                e += prod * pw * tp[0] * t[0] ** (pw - 1)
+            body += count * b
+            eps += count * e
         kb[n - 1] = body
         kp[n - 1] = eps
     return CumulantVector(K, kb, kp)

@@ -214,10 +214,6 @@ def psi_block(law: InfLaw, b, c) -> UT2:
     return out.truncated(m) if out.order > m else out
 
 
-def psi_block_formula(law: InfLaw, b, c) -> UT2:
-    return _formula_block(TransformKind.PSI, law, b, c)
-
-
 def eta_block(law: InfLaw, b, c) -> UT2:
     """Matrix eta in the plain normalization: Psi (I + Psi)^{-1}.
 
@@ -227,12 +223,7 @@ def eta_block(law: InfLaw, b, c) -> UT2:
     return P * (UT2.identity(P.order) + P).inv()
 
 
-def eta_block_formula(law: InfLaw, b, c) -> UT2:
-    return _formula_block(TransformKind.ETA_PLAIN, law, b, c)
-
-
 kappa_block = rho_block = eta_block
-kappa_block_formula = rho_block_formula = eta_block_formula
 
 
 def t_block(law: InfLaw, w, v) -> UT2:
@@ -240,20 +231,6 @@ def t_block(law: InfLaw, w, v) -> UT2:
     W = _vanishing_arg(w, v)
     S = apply_series(s_transform(law), W)
     return S.inv()
-
-
-def t_block_formula(law: InfLaw, w, v) -> UT2:
-    return _formula_block(TransformKind.T, law, w, v)
-
-
-def _formula_block(kind: TransformKind, law: InfLaw, b, c) -> UT2:
-    """Diagonal f(b), corner f'(b) c + (df)(b) from scalar series calculus."""
-    B = _vanishing_arg(b, c)
-    body, _ = transform(kind, law).eps_split()
-    dform = d_transform(kind, law)
-    diag = body.compose(B.diag)
-    corner = body.derivative().compose(B.diag) * B.corner + dform.compose(B.diag)
-    return UT2.of(diag, corner)
 
 
 def block_transform(kind: TransformKind, law: InfLaw, b, c) -> UT2:
@@ -270,9 +247,15 @@ def block_transform(kind: TransformKind, law: InfLaw, b, c) -> UT2:
 
 
 def block_transform_formula(kind: TransformKind, law: InfLaw, b, c) -> UT2:
+    """Diagonal f(b), corner f'(b) c + (df)(b) from scalar series calculus."""
     if kind is TransformKind.ETA_TILDE:
         raise InvalidInputError(f"no matrix form for transform kind {kind}")
-    return _formula_block(kind, law, b, c)
+    B = _vanishing_arg(b, c)
+    body, _ = transform(kind, law).eps_split()
+    dform = d_transform(kind, law)
+    diag = body.compose(B.diag)
+    corner = body.derivative().compose(B.diag) * B.corner + dform.compose(B.diag)
+    return UT2.of(diag, corner)
 
 
 # -- centered alternating words ------------------------------------------------

@@ -116,6 +116,26 @@ def test_monotone_sweep_matches_word_expansion(order):
                 assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
 
+def test_monotone_orders_rotate_onto_each_other():
+    # a^b1 y a^b2 y ... a^bk y rotates to y a^b2 y ... a^bk y a^b1: a bijection
+    # from the words of (a? y)^k onto those of (y a?)^k keeping the y-runs, so
+    # for scalar laws the "xy" and "yx" moments agree word by word, exactly
+    rng = np.random.default_rng(40)
+    lawA, lawY = _rand_complex_law(rng, 6), _rand_complex_law(rng, 6)
+    for k in range(1, 7):
+        yx_words = set()
+        rotated = set()
+        for mask in range(1 << k):
+            bits = [(mask >> i) & 1 for i in range(k)]
+            xy = tuple(ch for b in bits for ch in ("a",) * b + ("y",))
+            yx_words.add(tuple(ch for b in bits for ch in ("y",) + ("a",) * b))
+            rot = xy[bits[0]:] + xy[:bits[0]]
+            rotated.add(rot)
+            assert monotone_word_moment(rot, lawA, lawY) == monotone_word_moment(
+                xy, lawA, lawY)
+        assert rotated == yx_words
+
+
 def test_monotone_word_rejects_stray_letters():
     law = InfLaw.point_mass(1.0, K=4)
     with pytest.raises(InvalidInputError):
