@@ -278,7 +278,8 @@ def _t_pi_single(pi: LinkedPartition, tvals: Sequence[DualScalar]) -> DualScalar
     acc = DualScalar(1.0)
     for block in pi.blocks:
         acc = acc * tvals[len(block) - 1]
-    for _ in non_minimal_elements(pi):
+    # a linked partition has n - #blocks non-minimal elements, each a t_0
+    for _ in range(pi.n - len(pi.blocks)):
         acc = acc * tvals[0]
     return acc
 
@@ -523,7 +524,7 @@ def _t_pi_body(pi: LinkedPartition, tvec: TCoeffVector) -> complex:
     acc = 1.0 + 0.0j
     for block in pi.blocks:
         acc *= tvec.t[len(block) - 1]
-    acc *= tvec.t[0] ** len(non_minimal_elements(pi))
+    acc *= tvec.t[0] ** (pi.n - len(pi.blocks))
     return acc
 
 

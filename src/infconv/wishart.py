@@ -26,16 +26,34 @@ Reference route: dense `sample_wishart` with `trace_powers` and
 `_product_trace_powers`.  Tests check the production route against it and
 against the exact finite-size moments.
 
-Sampling is organized in fixed lanes of trials; each lane owns an RNG stream
-keyed by (seed, size, lane, run tag), so results are bit-identical for a
-given seed regardless of how lanes would be scheduled.
+Sampling is organized in fixed lanes of `LANE_TRIALS` trials; each lane owns
+an RNG stream keyed by (seed, size, lane, run tag).  Single-matrix lanes are
+vectorized over their trials and run serially.  Product runs pipeline their
+trials: the calling thread walks sizes, lanes and trials in order and makes
+every draw, so each stream is consumed exactly as in a serial run; the
+trial's kernel (two GEMMs and the trace sums, which release the GIL) goes to
+an idle pool thread, or runs on the calling thread when none is idle.  At
+most `width` kernels are in flight and no draw is made ahead of them.
+`width` is the number of CPUs the process may use divided by the BLAS
+thread budget read from OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS; with none of them set BLAS is taken to use every CPU, so
+width is 1 and every trial runs inline without starting a thread.  Each
+kernel writes its trial's slot and the per-size sums are taken in lane
+order, so for a given seed the output is byte-identical for any width.  It
+is byte-identical only for a fixed BLAS thread count, though: zgemm's
+summation order depends on it, which moves the last digits of the product
+standard errors.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -48,6 +66,7 @@ from .laws import InfLaw
 LANE_TRIALS = 250
 MAX_K = 6
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -319,18 +338,105 @@ def _reduced_product_trace_powers(g: np.ndarray, d: np.ndarray, e: np.ndarray,
     subdiagonal of the n x n lower-bidiagonal B.  tr((X1 X2)^k) = tr(Y^k) for
     Y = H*H / N^2 with H = g B.  Forming Y is one GEMM and `trace_powers`
     adds Y^2 from k_max = 3 on; k_max = 1 needs none, as tr Y = |H|^2 / N^2.
+    H / N and then Y are formed in place: `g` is overwritten.
     """
     n = d.size
-    h = g * (d / N)
-    h[:, :-1] += g[:, 1:] * (e / N)
+    shifted = g[:, 1:] * (e / N)
+    h = g
+    h *= d / N
+    h[:, :-1] += shifted
+    del shifted
     if k_max == 1:
         return [np.vdot(h, h).real / N]
-    return [t * n / N for t in trace_powers(h.conj().T @ h, k_max)]
+    # Y overwrites the first n rows of H (n <= M), which are spent once Y is
+    # formed, so the traces run next to two n x n temporaries instead of three
+    y = h[:n]
+    y[...] = h.conj().T @ h
+    return [t * n / N for t in trace_powers(y, k_max)]
+
+
+def _pool_width() -> int:
+    """Trial kernels that may run at once: usable CPUs over the BLAS budget.
+
+    The budget is the largest positive value among `_BLAS_THREAD_VARS`; with
+    none set, BLAS is taken to use every CPU and the width is 1.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    budget = 0
+    for var in _BLAS_THREAD_VARS:
+        try:
+            budget = max(budget, int(os.environ.get(var, "")))
+        except ValueError:
+            pass
+    if budget < 1:
+        return 1
+    return max(1, cpus // budget)
+
+
+def _trial_pool(width: int):
+    """A pool of width - 1 threads, or a null context (no pool) at width 1."""
+    if width == 1:
+        return nullcontext()
+    # imported here: it pulls in logging, which import and estimates skip
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(width - 1)
+
+
+class _TrialPipeline:
+    """Runs product-trial kernels on the calling thread and an optional pool.
+
+    `run(out, t, *args)` stores `_reduced_product_trace_powers(*args)` in
+    out[t]: on a pool thread if one of `width - 1` is idle, else on the
+    calling thread before returning.  So at most `width` kernels are in
+    flight, and the caller never holds more than the one draw it is making.
+    `wait()` returns once every slot is filled, and re-raises the first
+    error a pool thread hit.
+    """
+
+    def __init__(self, pool, width: int):
+        self._pool = pool
+        self._idle = threading.Semaphore(width - 1)
+        self._futures: list = []
+
+    def run(self, out: np.ndarray, t: int, *args) -> None:
+        self._reap(block=False)
+        if self._idle.acquire(blocking=False):
+            self._futures.append(self._pool.submit(self._work, out, t, args))
+        else:
+            out[t] = _reduced_product_trace_powers(*args)
+
+    def wait(self) -> None:
+        self._reap(block=True)
+
+    def _work(self, out: np.ndarray, t: int, args: tuple) -> None:
+        try:
+            out[t] = _reduced_product_trace_powers(*args)
+        finally:
+            self._idle.release()
+
+    def _reap(self, block: bool) -> None:
+        pending = []
+        for f in self._futures:
+            if block or f.done():
+                f.result()
+            else:
+                pending.append(f)
+        self._futures = pending
 
 
 def _product_lane(M: int, N: int, trials: int, k_max: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """tr_N((X1 X2)^k) for one lane of product trials, shape (trials, k_max)."""
+                  rng: np.random.Generator,
+                  pipeline: _TrialPipeline | None = None) -> np.ndarray:
+    """tr_N((X1 X2)^k) for one lane of product trials, shape (trials, k_max).
+
+    Without a pipeline every trial runs inline.  With one, rows may still be
+    in flight on return; they are filled once `pipeline.wait()` returns.
+    """
+    if pipeline is None:
+        pipeline = _TrialPipeline(None, 1)
     d2, e2 = _bidiagonal_gammas(M, N, trials, rng)
     n = d2.shape[1]
     d, e = np.sqrt(d2), np.sqrt(e2)
@@ -339,24 +445,33 @@ def _product_lane(M: int, N: int, trials: int, k_max: int,
         # only the first n columns of G2 reach H = G2 F
         g = rng.standard_normal((M, 2 * n)).view(np.complex128)
         g *= _SQRT_HALF
-        out[t] = _reduced_product_trace_powers(g, d[t], e[t], N, k_max)
+        pipeline.run(out, t, g, d[t], e[t], N, k_max)
     return out
 
 
-def _accumulate(cfg: WishartConfig, N: int, tag: int, product: bool):
-    """Per-size sums and sums of squares of the k trace observables."""
-    lane_fn = _product_lane if product else _single_lane
+def _size_lanes(cfg: WishartConfig, N: int, tag: int, lane_fn) -> list:
+    """Trace values of each lane at size N, one RNG stream per lane."""
     M = cfg.M(N)
-    s1 = np.zeros(cfg.k_max)
-    s2 = np.zeros(cfg.k_max)
+    lanes = []
     for lane, lane_n in enumerate(_lane_sizes(cfg.trials)):
         rng = np.random.default_rng(
             np.random.SeedSequence([int(cfg.seed), int(N), lane, tag])
         )
-        vals = lane_fn(M, N, lane_n, cfg.k_max, rng)
-        s1 += vals.sum(axis=0)
-        s2 += (vals * vals).sum(axis=0)
-    return s1, s2
+        lanes.append(lane_fn(M, N, lane_n, cfg.k_max, rng))
+    return lanes
+
+
+def _all_lanes(cfg: WishartConfig, tag: int, product: bool) -> list:
+    """Lane values for every size of cfg.N_list; product trials pipelined."""
+    if not product:
+        return [_size_lanes(cfg, N, tag, _single_lane) for N in cfg.N_list]
+    width = _pool_width()
+    with _trial_pool(width) as pool:
+        pipeline = _TrialPipeline(pool, width)
+        lane_fn = partial(_product_lane, pipeline=pipeline)
+        lanes = [_size_lanes(cfg, N, tag, lane_fn) for N in cfg.N_list]
+        pipeline.wait()
+    return lanes
 
 
 def _limit_predictions(cfg: WishartConfig, product: bool) -> InfLaw:
@@ -420,8 +535,12 @@ def _run(cfg: WishartConfig, product: bool, tag: int) -> McEstimate:
     pred = _limit_predictions(cfg, product)
     rows = []
     n_tr = cfg.trials
-    for N in cfg.N_list:
-        s1, s2 = _accumulate(cfg, N, tag, product)
+    for N, lanes in zip(cfg.N_list, _all_lanes(cfg, tag, product)):
+        s1 = np.zeros(cfg.k_max)
+        s2 = np.zeros(cfg.k_max)
+        for vals in lanes:
+            s1 += vals.sum(axis=0)
+            s2 += (vals * vals).sum(axis=0)
         for k in range(1, cfg.k_max + 1):
             mean = s1[k - 1] / n_tr
             if n_tr > 1:

@@ -28,6 +28,7 @@ from infconv import (
     mixed_vanishing_check,
     moments_from_cumulants,
     moments_from_t,
+    non_minimal_elements,
     scaled,
     t_coeffs_from_moments,
     t_pi_value,
@@ -243,6 +244,13 @@ def test_full_block_type_table_covers_linked_class(n):
     full = SetPartition.of(n, [list(range(1, n + 1))])
     assert sum(count for _, _, count in table) == len(linked_class(full))
     assert all(_size_key(rep) == key for key, rep, _ in table)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_non_minimal_count_is_n_minus_blocks(n):
+    # the single-variable t_pi sums take the t_0 power as n - #blocks
+    for pi in enumerate_ncl(n):
+        assert len(non_minimal_elements(pi)) == pi.n - len(pi.blocks)
 
 
 def test_grouped_moments_from_t_matches_ungrouped_sum():

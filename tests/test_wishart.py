@@ -5,10 +5,15 @@ and every estimate is pinned to a fixed seed, so reruns are bit-identical.
 """
 
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from infconv import wishart
 from infconv import (
     ConfigError,
     WishartConfig,
@@ -274,3 +279,144 @@ def test_product_predictions_are_fuss_catalan():
     assert preds[1] == pytest.approx(1.0, abs=1e-9)
     assert preds[2] == pytest.approx(3.0, abs=1e-9)
     assert preds[3] == pytest.approx(12.0, abs=1e-9)
+
+
+# -- the product-trial pipeline ------------------------------------------------------
+
+PIPELINE_CONFIGS = [
+    WishartConfig(c=1.0, c_prime=1.0, N_list=(16, 24), trials=30, k_max=1, seed=31),
+    WishartConfig(c=1.0, c_prime=2.0, N_list=(16, 24), trials=30, k_max=4, seed=32),
+    WishartConfig(c=1.0, c_prime=0.0, N_list=(16, 24), trials=30, k_max=6, seed=33),
+    # 260 trials cross LANE_TRIALS: a full lane and a short one per size
+    WishartConfig(c=1.0, c_prime=1.0, N_list=(6, 8), trials=260, k_max=4, seed=34),
+    # c < 1: n = M < N
+    WishartConfig(c=0.5, c_prime=0.0, N_list=(20, 40), trials=30, k_max=4, seed=35),
+]
+
+
+def _count_kernels(monkeypatch, delay=0.0):
+    """Wrap the trial kernel; returns its peak concurrency and its threads."""
+    lock = threading.Lock()
+    seen = {"now": 0, "peak": 0, "threads": set()}
+    kernel = wishart._reduced_product_trace_powers
+
+    def counted(*args):
+        with lock:
+            seen["now"] += 1
+            seen["peak"] = max(seen["peak"], seen["now"])
+            seen["threads"].add(threading.get_ident())
+        try:
+            time.sleep(delay)
+            return kernel(*args)
+        finally:
+            with lock:
+                seen["now"] -= 1
+
+    monkeypatch.setattr(wishart, "_reduced_product_trace_powers", counted)
+    return seen
+
+
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("cfg", PIPELINE_CONFIGS,
+                         ids=lambda c: f"k{c.k_max}-t{c.trials}-c{c.c:g}")
+def test_pipelined_product_is_byte_identical_to_serial(monkeypatch, cfg, width):
+    monkeypatch.setattr(wishart, "_pool_width", lambda: 1)
+    serial = product_experiment(cfg).to_json()
+    monkeypatch.setattr(wishart, "_pool_width", lambda: width)
+    seen = _count_kernels(monkeypatch)
+    assert product_experiment(cfg).to_json() == serial
+    assert 1 <= seen["peak"] <= width
+    # the first trial always finds an idle pool thread
+    assert len(seen["threads"]) >= 2
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_slow_kernels_fill_exactly_width_slots(monkeypatch, width):
+    # kernels that outlast a draw keep every pool thread busy, so the
+    # calling thread runs trials too and the in-flight count reaches width
+    cfg = WishartConfig(c=1.0, c_prime=1.0, N_list=(8, 12), trials=20, k_max=2,
+                        seed=36)
+    monkeypatch.setattr(wishart, "_pool_width", lambda: width)
+    seen = _count_kernels(monkeypatch, delay=0.005)
+    product_experiment(cfg)
+    assert seen["peak"] == width
+    assert len(seen["threads"]) == width
+
+
+def test_pipeline_under_thread_switch_stress(monkeypatch):
+    # more threads than cores and a tiny switch interval interleave the draws,
+    # kernels and slot writes as finely as the interpreter allows
+    cfg = PIPELINE_CONFIGS[3]
+    monkeypatch.setattr(wishart, "_pool_width", lambda: 1)
+    serial = product_experiment(cfg).to_json()
+    monkeypatch.setattr(wishart, "_pool_width", lambda: 4)
+    seen = _count_kernels(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert product_experiment(cfg).to_json() == serial
+    finally:
+        sys.setswitchinterval(interval)
+    assert 1 <= seen["peak"] <= 4
+
+
+def test_serial_width_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(wishart, "_pool_width", lambda: 1)
+    seen = _count_kernels(monkeypatch)
+    product_experiment(SMOKE)
+    assert seen["peak"] == 1
+    assert seen["threads"] == {threading.get_ident()}
+
+
+class _KernelFault(RuntimeError):
+    pass
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(wishart, "_pool_width", lambda: 2)
+    want = product_experiment(SMOKE).to_json()
+    kernel = wishart._reduced_product_trace_powers
+
+    def faulty(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise _KernelFault("kernel failed on a pool thread")
+        return kernel(*args)
+
+    threads_before = threading.active_count()
+    monkeypatch.setattr(wishart, "_reduced_product_trace_powers", faulty)
+    with pytest.raises(_KernelFault):
+        product_experiment(SMOKE)
+    assert threading.active_count() == threads_before
+    monkeypatch.setattr(wishart, "_reduced_product_trace_powers", kernel)
+    assert product_experiment(SMOKE).to_json() == want
+    assert threading.active_count() == threads_before
+
+
+def _blas_env(monkeypatch, cpus, **env):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+
+
+def test_pool_width_is_one_without_a_blas_budget(monkeypatch):
+    _blas_env(monkeypatch, 2)
+    assert wishart._pool_width() == 1
+    _blas_env(monkeypatch, 8, OPENBLAS_NUM_THREADS="many")
+    assert wishart._pool_width() == 1
+
+
+def test_pool_width_divides_cpus_by_the_blas_budget(monkeypatch):
+    _blas_env(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+    assert wishart._pool_width() == 2
+    _blas_env(monkeypatch, 2, OPENBLAS_NUM_THREADS="2")
+    assert wishart._pool_width() == 1
+    _blas_env(monkeypatch, 8, OMP_NUM_THREADS="1")
+    assert wishart._pool_width() == 8
+    # the largest budget wins, and a budget above the CPU count still runs
+    _blas_env(monkeypatch, 8, MKL_NUM_THREADS="1", OMP_NUM_THREADS="4")
+    assert wishart._pool_width() == 2
+    _blas_env(monkeypatch, 2, OPENBLAS_NUM_THREADS="4")
+    assert wishart._pool_width() == 1
