@@ -15,19 +15,27 @@ the T-transform: T(z) = sum t_n z^n.
 
 Routes for a single variable: t_coeffs_from_moments reads the coefficients
 off the T-series (production).  moments_from_t, kappa_from_t and
-inf_cumulants_direct are the oracles: literal partition sums over NC(n) or
-NCL(n), grouped by block type because a single-variable summand depends
-only on the multiset of block sizes.  Words in several letters
-(make_mixed_t, t_pi_value) cannot be grouped; make_mixed_t sums them
-partition by partition along cached factor plans (_mixed_plan).
+inf_cumulants_direct are the oracles: partition sums over NC(n) or NCL(n),
+grouped by block type because a single-variable summand depends only on
+the multiset of block sizes.  The type tables are counted, not enumerated:
+NC(n) types by Kreweras' formula, the linked class of the full block by a
+scan that generates only connected linked partitions, and NCL(n) types by
+the connected-classes bijection between the two.  No table reads the
+T-series or the moment power rows, and the full-block table is never
+derived from the NC(n - 1) types that the interval route sums.  Words in
+several letters (make_mixed_t, t_pi_value) cannot be grouped; make_mixed_t
+sums them partition by partition over the literal NCL(n), along cached
+factor plans (_mixed_plan).
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import factorial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,19 +46,24 @@ from .laws import InfLaw, t_transform
 from .partitions import (
     LinkedPartition,
     SetPartition,
-    connected_classes,
     enumerate_nc,
     enumerate_ncl,
+    linked_class,
     non_minimal_elements,
 )
 
 Word = tuple
 MomentFn = Callable[[Word], DualScalar]
 TFn = Callable[[Word], DualScalar]
+# (sorted block sizes, number of partitions)
+TypeCounts = tuple[tuple[tuple[int, ...], int], ...]
 # (sorted block sizes, representative partition, number of partitions)
 TypeTable = tuple[tuple[tuple[int, ...], LinkedPartition, int], ...]
 
 
+# Literal NC(n) and NCL(n) lists.  Only _mixed_plan reads _ncl (mixed words
+# have no block types); no table reads either.  perfbench/tracing.py counts
+# _ncl lookups and reads both caches' statistics.
 @lru_cache(maxsize=32)
 def _nc(n: int) -> tuple[SetPartition, ...]:
     return tuple(enumerate_nc(n))
@@ -207,13 +220,13 @@ def inf_cumulants_direct(law: InfLaw) -> np.ndarray:
     """
     K = law.K
     if K > 12:
-        raise SizeLimitError("literal route enumerates NC(n); K <= 12")
+        raise SizeLimitError("direct route sums NC(n) block types up to K = 12")
     kb = np.zeros(K, dtype=complex)
     kp = np.zeros(K, dtype=complex)
     for n in range(1, K + 1):
         body = 0.0 + 0.0j
         eps = 0.0 + 0.0j
-        for sizes, _, count in _nc_types(n):
+        for sizes, count in _nc_types(n):
             if len(sizes) == 1:
                 continue
             vals = [kb[s - 1] for s in sizes]
@@ -252,34 +265,75 @@ def _group_by_type(parts) -> TypeTable:
 
 
 @lru_cache(maxsize=32)
-def _nc_types(n: int) -> TypeTable:
-    """(sorted block sizes, representative, count) for each block type of NC(n)."""
-    return _group_by_type(_nc(n))
+def _nc_types(n: int) -> TypeCounts:
+    """(sorted block sizes, count) for each block type of NC(n), by Kreweras.
 
-
-@lru_cache(maxsize=16)
-def _ncl_types(n: int) -> TypeTable:
-    """(sorted block sizes, representative, count) for each block type of NCL(n).
-
-    For a single variable t_pi depends only on the block sizes: one factor
-    t_{|V|-1} per block and n - #blocks factors of t_0.
+    A type with b blocks, m_i of them of size i, is the block type of
+    n! / ((n - b + 1)! prod_i m_i!) partitions of NC(n) (Kreweras 1972).
     """
-    return _group_by_type(_ncl(n))
+    out = []
+    for sizes in _integer_partitions(n):
+        count = factorial(n) // factorial(n - len(sizes) + 1)
+        for m in Counter(sizes).values():
+            count //= factorial(m)
+        out.append((sizes, count))
+    return tuple(sorted(out))
+
+
+def _integer_partitions(n: int, smallest: int = 1):
+    """Partitions of n into parts >= smallest, as ascending tuples."""
+    if n == 0:
+        yield ()
+    for first in range(smallest, n + 1):
+        for rest in _integer_partitions(n - first, first):
+            yield (first,) + rest
 
 
 @lru_cache(maxsize=16)
 def _linked_full_types(n: int) -> TypeTable:
-    """As _ncl_types, over the linked class of the full block {1..n}."""
-    full = (tuple(range(1, n + 1)),)
-    return _group_by_type(pi for pi in _ncl(n) if connected_classes(pi).blocks == full)
+    """(sorted block sizes, representative, count) over the linked class of {1..n}.
+
+    Generated as linked partitions (linked_class of the full block, which
+    scans only the connected ones), never derived from the NC(n - 1) types
+    by shifting sizes: the counts agree, but that would make the linked
+    route of kappa_from_t the interval route under another name.  The
+    representative is the first partition of its type in lexicographic
+    order, a real partition for d_t_pi_value's literal product rule.
+    """
+    return _group_by_type(linked_class(SetPartition.of(n, [range(1, n + 1)])))
 
 
-def _t_pi_single(pi: LinkedPartition, tvals: Sequence[DualScalar]) -> DualScalar:
+@lru_cache(maxsize=16)
+def _ncl_types(n: int) -> TypeCounts:
+    """(sorted block sizes, count) for each block type of NCL(n).
+
+    connected_classes maps NCL(n) one to one onto the pairs (sigma in NC(n),
+    one linked partition of the full block of each V in sigma).  So each NC
+    type, weighted by its Kreweras count, contributes the multiset
+    convolution of _linked_full_types(|V|) over its blocks.  For a single
+    variable t_pi depends only on the block sizes: one factor t_{|V|-1} per
+    block and n - #blocks factors of t_0.  Reads neither the T-series nor
+    the moment power rows.
+    """
+    counts: Counter = Counter()
+    for sizes, count in _nc_types(n):
+        conv = {(): count}
+        for s in sizes:
+            nxt: Counter = Counter()
+            for key, c in conv.items():
+                for sub, _, m in _linked_full_types(s):
+                    nxt[tuple(sorted(key + sub))] += c * m
+            conv = nxt
+        counts.update(conv)
+    return tuple(sorted(counts.items()))
+
+
+def _t_pi_single(sizes: tuple[int, ...], n: int, tvals: Sequence[DualScalar]) -> DualScalar:
     acc = DualScalar(1.0)
-    for block in pi.blocks:
-        acc = acc * tvals[len(block) - 1]
+    for s in sizes:
+        acc = acc * tvals[s - 1]
     # a linked partition has n - #blocks non-minimal elements, each a t_0
-    for _ in range(pi.n - len(pi.blocks)):
+    for _ in range(n - len(sizes)):
         acc = acc * tvals[0]
     return acc
 
@@ -304,18 +358,18 @@ def t_coeffs_from_moments(law: InfLaw) -> TCoeffVector:
 def moments_from_t(tvec: TCoeffVector) -> InfLaw:
     """Forward linked-partition sum; oracle for t_coeffs_from_moments.
 
-    Sums count * t_pi over the block types of NCL(n), one representative
-    partition per type.
+    Sums count * t_pi over the block types of NCL(n); t_pi depends only on
+    the block sizes.
     """
     K = tvec.K
     if K > 10:
-        raise SizeLimitError("NCL enumeration supports n <= 10")
+        raise SizeLimitError("linked-partition sums cover n <= 10")
     tvals = [tvec.dual(n) for n in range(K)]
     out = []
     for n in range(1, K + 1):
         acc = DualScalar(0.0)
-        for _, rep, count in _ncl_types(n):
-            acc = acc + count * _t_pi_single(rep, tvals)
+        for sizes, count in _ncl_types(n):
+            acc = acc + count * _t_pi_single(sizes, n, tvals)
         out.append(acc)
     return InfLaw.from_moments(out)
 
@@ -501,7 +555,7 @@ def kappa_from_t(tvec: TCoeffVector, route: str = "linked") -> CumulantVector:
 def _kappa_from_t_linked(tvec: TCoeffVector) -> CumulantVector:
     K = tvec.K
     if K > 10:
-        raise SizeLimitError("linked route enumerates NCL(n); K <= 10")
+        raise SizeLimitError("linked route sums linked-partition types up to K = 10")
 
     def t_fn(word: Word) -> DualScalar:
         return tvec.dual(len(word) - 1)
@@ -531,7 +585,7 @@ def _t_pi_body(pi: LinkedPartition, tvec: TCoeffVector) -> complex:
 def _kappa_from_t_interval(tvec: TCoeffVector) -> CumulantVector:
     K = tvec.K
     if K - 1 > 12:
-        raise SizeLimitError("interval route enumerates NC(n-1); K <= 13")
+        raise SizeLimitError("interval route sums NC(n-1) block types up to K = 13")
     t, tp = tvec.t, tvec.t_prime
     kb = np.zeros(K, dtype=complex)
     kp = np.zeros(K, dtype=complex)
@@ -539,7 +593,7 @@ def _kappa_from_t_interval(tvec: TCoeffVector) -> CumulantVector:
     for n in range(2, K + 1):
         body = 0.0 + 0.0j
         eps = 0.0 + 0.0j
-        for sizes, _, count in _nc_types(n - 1):
+        for sizes, count in _nc_types(n - 1):
             prod = 1.0 + 0.0j
             for s in sizes:
                 prod *= t[s]

@@ -10,12 +10,19 @@ convention used throughout: a shared element must be the minimum of exactly
 one of the two blocks, and that block must have at least two elements.  In
 particular ``{{1,2},{2}}`` is not admitted, and element multiplicity never
 exceeds two.
+
+Enumeration is one stack scan (_scan) that emits canonical blocks at its
+leaves, so every enumerated partition is canonicalised exactly once.  The
+same scan restricted to a single fresh block yields the connected linked
+partitions of {1..n}; linked_class(sigma) is built from those, block by
+block, without enumerating NCL(n).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, product
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, SizeLimitError
@@ -67,8 +74,8 @@ def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
 
 
 @dataclass(frozen=True)
-class SetPartition:
-    """A non-crossing partition of {1, ..., n} with pairwise disjoint blocks."""
+class _Partition:
+    """Common shape of the two partition kinds: n and canonical blocks."""
 
     n: int
     blocks: Blocks
@@ -76,12 +83,31 @@ class SetPartition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", _canonical_blocks(self.blocks))
 
-    @staticmethod
-    def of(n: int, blocks: Iterable[Iterable[int]], validate: bool = True) -> "SetPartition":
-        p = SetPartition(n, _canonical_blocks(blocks))
+    @classmethod
+    def of(cls, n: int, blocks: Iterable[Iterable[int]], validate: bool = True):
+        p = cls(n, blocks)
         if validate:
             p.validate()
         return p
+
+    @classmethod
+    def _from_canonical(cls, n: int, blocks: Blocks):
+        """Wrap blocks that are canonical already, without a second pass."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "blocks", blocks)
+        return p
+
+    @property
+    def num_blocks(self) -> int:
+        return len(self.blocks)
+
+    def __str__(self) -> str:
+        return _blocks_text(self.blocks)
+
+
+class SetPartition(_Partition):
+    """A non-crossing partition of {1, ..., n} with pairwise disjoint blocks."""
 
     def validate(self) -> None:
         seen: set[int] = set()
@@ -99,30 +125,9 @@ class SetPartition:
         if not is_noncrossing(self.blocks):
             raise InvalidInputError("partition is crossing")
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
 
-    def __str__(self) -> str:
-        return _blocks_text(self.blocks)
-
-
-@dataclass(frozen=True)
-class LinkedPartition:
+class LinkedPartition(_Partition):
     """A non-crossing linked partition of {1, ..., n}."""
-
-    n: int
-    blocks: Blocks
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", _canonical_blocks(self.blocks))
-
-    @staticmethod
-    def of(n: int, blocks: Iterable[Iterable[int]], validate: bool = True) -> "LinkedPartition":
-        p = LinkedPartition(n, _canonical_blocks(blocks))
-        if validate:
-            p.validate()
-        return p
 
     def validate(self) -> None:
         count: dict[int, int] = {}
@@ -158,13 +163,6 @@ class LinkedPartition:
                         )
         if not is_noncrossing(self.blocks):
             raise InvalidInputError("linked partition is crossing")
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    def __str__(self) -> str:
-        return _blocks_text(self.blocks)
 
 
 def non_minimal_elements(p: LinkedPartition | SetPartition) -> tuple[int, ...]:
@@ -203,8 +201,8 @@ def connected_classes(p: LinkedPartition) -> SetPartition:
     return SetPartition.of(p.n, classes.values(), validate=False)
 
 
-def _scan(n: int, allow_links: bool) -> list[Blocks]:
-    """Left-to-right stack enumeration.
+def _scan(n: int, allow_links: bool, connected: bool = False) -> list[Blocks]:
+    """Left-to-right stack enumeration, in lexicographic block order.
 
     The stack holds open blocks, innermost on top.  At each position i we
     either open a fresh block, or join an open block at some depth (closing
@@ -212,6 +210,12 @@ def _scan(n: int, allow_links: bool) -> list[Blocks]:
     block as a non-minimal member and open a new block with minimum i.  A
     block opened through such a link must collect a second element before it
     closes; branches violating that are pruned.
+
+    connected=True opens a fresh block at position 1 only.  A block opened
+    fresh at i > 1 shares no element with a block opened before i, and links
+    only join it to blocks opened later, so its connected class misses 1.
+    Hence the leaves are exactly the partitions whose connected classes form
+    the single block {1..n}.
     """
     out: list[Blocks] = []
     stack: list[list[int]] = []
@@ -240,14 +244,17 @@ def _scan(n: int, allow_links: bool) -> list[Blocks]:
         if i > n:
             if any(ln and len(blk) < 2 for blk, ln in zip(stack, linked)):
                 return
-            out.append(_canonical_blocks(finished + stack))
+            # blocks fill in increasing order and minima are distinct, so
+            # sorting the block tuples gives the canonical form
+            out.append(tuple(sorted(map(tuple, finished + stack))))
             return
         # (a) open a fresh block holding i
-        stack.append([i])
-        linked.append(False)
-        rec(i + 1)
-        stack.pop()
-        linked.pop()
+        if i == 1 or not connected:
+            stack.append([i])
+            linked.append(False)
+            rec(i + 1)
+            stack.pop()
+            linked.pop()
         # (b) join the block at depth d, closing blocks above it
         #     (c) same, additionally opening a linked block with minimum i
         for d in range(len(stack), 0, -1):
@@ -275,27 +282,33 @@ def enumerate_nc(n: int) -> list[SetPartition]:
     """All non-crossing partitions of {1..n} in lexicographic block order."""
     if not 1 <= n <= MAX_NC_N:
         raise SizeLimitError(f"enumerate_nc supports 1 <= n <= {MAX_NC_N}, got {n}")
-    return [SetPartition.of(n, bs, validate=False) for bs in _scan(n, allow_links=False)]
+    return [SetPartition._from_canonical(n, bs) for bs in _scan(n, allow_links=False)]
 
 
 def enumerate_ncl(n: int) -> list[LinkedPartition]:
     """All non-crossing linked partitions of {1..n} in lexicographic order."""
     if not 1 <= n <= MAX_NCL_N:
         raise SizeLimitError(f"enumerate_ncl supports 1 <= n <= {MAX_NCL_N}, got {n}")
-    return [LinkedPartition.of(n, bs, validate=False) for bs in _scan(n, allow_links=True)]
+    return [LinkedPartition._from_canonical(n, bs) for bs in _scan(n, allow_links=True)]
 
 
 def linked_class(sigma: SetPartition) -> list[LinkedPartition]:
-    """All linked partitions whose connected classes equal sigma."""
+    """All linked partitions whose connected classes equal sigma, in lexicographic order.
+
+    connected_classes is a bijection from NCL(n) onto the pairs (sigma, one
+    linked partition of each block V of sigma whose connected classes are
+    all of V).  So the class is the product over the blocks of the connected
+    partitions of {1..|V|}, each relabelled onto the elements of V in order.
+    """
     sigma.validate()
-    if not is_noncrossing(sigma.blocks):
-        raise InvalidInputError("linked_class requires a non-crossing partition")
-    sig = _canonical_blocks(sigma.blocks)
-    return [
-        p
-        for p in enumerate_ncl(sigma.n)
-        if connected_classes(p).blocks == sig
-    ]
+    if not 1 <= sigma.n <= MAX_NCL_N:
+        raise SizeLimitError(f"linked_class supports 1 <= n <= {MAX_NCL_N}, got {sigma.n}")
+    connected = {s: _scan(s, allow_links=True, connected=True)
+                 for s in {len(v) for v in sigma.blocks}}
+    per_block = [[tuple(tuple(v[e - 1] for e in b) for b in tau) for tau in connected[len(v)]]
+                 for v in sigma.blocks]
+    found = sorted(tuple(sorted(chain.from_iterable(choice))) for choice in product(*per_block))
+    return [LinkedPartition._from_canonical(sigma.n, bs) for bs in found]
 
 
 def parse_partition_text(text: str, n: int | None = None, linked: bool = False):

@@ -1,6 +1,7 @@
 """Free cumulants, t-coefficients, and the routes between them."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from infconv import (
     SizeLimitError,
     TCoeffVector,
     boolean_mixed_moments,
+    connected_classes,
     constant_cumulant_law,
     cumulants_from_moments,
     d_t_pi_value,
@@ -233,9 +235,9 @@ def test_kappa_from_t_unknown_route():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_ncl_type_table_covers_ncl(n):
     table = _ncl_types(n)
-    assert sum(count for _, _, count in table) == len(enumerate_ncl(n))
-    assert all(_size_key(rep) == key for key, rep, _ in table)
-    assert len({key for key, _, _ in table}) == len(table)
+    assert sum(count for _, count in table) == len(enumerate_ncl(n))
+    assert dict(table) == Counter(_size_key(pi) for pi in enumerate_ncl(n))
+    assert len({key for key, _ in table}) == len(table)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -277,9 +279,67 @@ def test_grouped_moments_from_t_matches_ungrouped_sum():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_nc_type_table_covers_nc(n):
     table = _nc_types(n)
-    assert sum(count for _, _, count in table) == [1, 2, 5, 14, 42, 132, 429, 1430][n - 1]
-    assert all(_size_key(rep) == key for key, rep, _ in table)
-    assert len({key for key, _, _ in table}) == len(table)
+    assert sum(count for _, count in table) == [1, 2, 5, 14, 42, 132, 429, 1430][n - 1]
+    assert dict(table) == Counter(_size_key(pi) for pi in enumerate_nc(n))
+    assert len({key for key, _ in table}) == len(table)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_full_block_type_table_matches_connected_ncl(n):
+    full = SetPartition.of(n, [list(range(1, n + 1))])
+    connected = [pi for pi in enumerate_ncl(n) if connected_classes(pi).blocks == full.blocks]
+    assert {pi.blocks for pi in linked_class(full)} == {pi.blocks for pi in connected}
+    table = _linked_full_types(n)
+    assert {key: count for key, _, count in table} == Counter(_size_key(pi) for pi in connected)
+    # each representative is the first partition of its type, as enumerated
+    first = {}
+    for pi in connected:
+        first.setdefault(_size_key(pi), pi)
+    assert all(rep == first[key] for key, rep, _ in table)
+
+
+def _catalan_schroder(n):
+    # the Catalan and large Schroeder recursions of acceptance criterion 1
+    catalan, schroder = [1], [1]
+    for m in range(1, n + 1):
+        catalan.append(sum(catalan[i] * catalan[m - 1 - i] for i in range(m)))
+        schroder.append(schroder[m - 1]
+                        + sum(schroder[k] * schroder[m - 1 - k] for k in range(m)))
+    return catalan, schroder
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_type_table_totals_beyond_enumeration(n):
+    catalan, schroder = _catalan_schroder(n)
+    assert sum(count for _, count in _nc_types(n)) == catalan[n]
+    assert sum(count for _, count in _ncl_types(n)) == schroder[n - 1]
+    # the linked class of the full block is in bijection with NC(n - 1)
+    assert sum(count for _, _, count in _linked_full_types(n)) == catalan[n - 1]
+
+
+def _rel_close(got, want, tol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    return bool(np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want))))
+
+
+@pytest.mark.parametrize("K", [9, 10])
+def test_t_vector_routes_beyond_enumeration(K):
+    # K = 9, 10 are accepted by t_coeffs_from_moments; the oracles there
+    # read counted type tables, since enumerating NCL(n) is too slow to test
+    rng = np.random.default_rng(60 + K)
+    for _ in range(5):
+        t = rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K)
+        t[0] = rng.uniform(0.7, 1.3)
+        tvec = TCoeffVector(K, t, rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K))
+        law = moments_from_t(tvec)
+        back = moments_from_t(t_coeffs_from_moments(law))
+        assert _rel_close(back.m, law.m) and _rel_close(back.m_prime, law.m_prime)
+        cum = cumulants_from_moments(law)
+        for route in ("linked", "interval"):
+            via_t = kappa_from_t(tvec, route=route)
+            assert _rel_close(via_t.kappa, cum.kappa)
+            assert _rel_close(via_t.kappa_prime, cum.kappa_prime)
+        assert _rel_close(inf_cumulants_direct(law), cum.kappa_prime)
 
 
 def _close(grouped, literal, scale):

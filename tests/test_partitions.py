@@ -129,6 +129,33 @@ def test_linked_classes_cover_ncl():
         assert total == len(enumerate_ncl(n))
 
 
+def test_linked_class_is_its_slice_of_the_enumeration():
+    # built block by block, each class lists exactly the partitions of
+    # NCL(n) with those connected classes, in enumeration order
+    for n in range(1, 7):
+        classes = {}
+        for p in enumerate_ncl(n):
+            classes.setdefault(connected_classes(p).blocks, []).append(str(p))
+        for sigma in enumerate_nc(n):
+            assert [str(p) for p in linked_class(sigma)] == classes.pop(sigma.blocks, [])
+        assert not classes
+
+
+def test_linked_class_size_limits():
+    with pytest.raises(SizeLimitError):
+        linked_class(SetPartition.of(11, [list(range(1, 12))]))
+    with pytest.raises(SizeLimitError):
+        linked_class(SetPartition.of(0, []))
+
+
+def test_enumerated_partitions_are_canonical():
+    for n in range(1, 6):
+        for p in enumerate_ncl(n):
+            assert p == LinkedPartition.of(n, reversed(p.blocks))
+        for p in enumerate_nc(n):
+            assert p == SetPartition.of(n, reversed(p.blocks))
+
+
 # -- invariants over the whole enumeration ---------------------------------
 
 @given(st.integers(min_value=1, max_value=6))
