@@ -468,8 +468,8 @@ def _selftest_checks():
             law = _rand_law(rng)
             b = DualSeries.from_coeffs([0] + [complex(v) for v in rng.uniform(-0.8, 0.8, 6)])
             c = DualSeries.from_coeffs([0] + [complex(v) for v in rng.uniform(-0.8, 0.8, 6)])
-            for kind in (TransformKind.PSI, TransformKind.ETA_PLAIN,
-                         TransformKind.KAPPA, TransformKind.RHO, TransformKind.T):
+            for kind in (TransformKind.PSI, TransformKind.ETA_PLAIN, TransformKind.KAPPA,
+                         TransformKind.RHO, TransformKind.S, TransformKind.T):
                 got = block_transform(kind, law, b, c)
                 want = block_transform_formula(kind, law, b, c)
                 if got.max_abs_diff(want) > 1e-9:

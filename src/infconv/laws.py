@@ -33,7 +33,6 @@ from .errors import InvalidInputError, MathDomainError
 from .series import DualSeries
 
 DEFAULT_ORDER = 8
-MAX_ORDER = 16
 
 
 class TransformKind(Enum):

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+import infconv
 from infconv import constant_cumulant_law
 from infconv.cli import main
 from infconv.laws import InfLaw
@@ -25,6 +26,18 @@ def limit_law_file(tmp_path):
     path = tmp_path / "law.json"
     path.write_text(constant_cumulant_law(2.0, 1.0, K=6).to_json())
     return str(path)
+
+
+# -- package surface -------------------------------------------------------------
+
+
+def test_all_names_are_exported():
+    # a deleted function must not leave its name behind in __all__
+    missing = [name for name in infconv.__all__ if not hasattr(infconv, name)]
+    assert missing == []
+    namespace = {}
+    exec("from infconv import *", namespace)
+    assert set(infconv.__all__) <= set(namespace)
 
 
 # -- partitions ----------------------------------------------------------------

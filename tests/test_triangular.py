@@ -1,9 +1,8 @@
 """Upper-triangular series matrices and block transforms.
 
-The scalar dual arithmetic is the corner-tracked shadow of 2x2 upper
-triangular matrices with equal diagonal; these tests pin that bridge and
-compare the direct matrix route for each block transform against the
-series-calculus formula route.
+A block [[p, q], [0, p]] is the dual series p + eps q; these tests pin that
+record and compare the direct route for each block transform (the dual
+transform series at b + eps c) against the series-calculus formula route.
 """
 
 import numpy as np
@@ -15,17 +14,17 @@ from infconv import (
     InfLaw,
     InvalidInputError,
     SizeLimitError,
-    TildeFunctional,
     TransformKind,
     UT2,
-    apply_series,
     block_transform,
     block_transform_formula,
     centered_alternating_check,
+    d_transform,
+    transform,
 )
 
-BLOCK_KINDS = [TransformKind.PSI, TransformKind.ETA_PLAIN,
-               TransformKind.KAPPA, TransformKind.RHO, TransformKind.T]
+BLOCK_KINDS = [TransformKind.PSI, TransformKind.ETA_PLAIN, TransformKind.KAPPA,
+               TransformKind.RHO, TransformKind.S, TransformKind.T]
 
 
 def rand_law(rng, K=8, lo=0.7, hi=1.3):
@@ -37,14 +36,13 @@ def rand_law(rng, K=8, lo=0.7, hi=1.3):
     )
 
 
-def rand_plain(rng, order=6, vanishing=True):
+def rand_plain(rng, order=6):
     coeffs = rng.uniform(-0.8, 0.8, order + 1)
-    if vanishing:
-        coeffs[0] = 0.0
+    coeffs[0] = 0.0
     return DualSeries.from_coeffs([complex(v) for v in coeffs])
 
 
-# -- matrix ring ---------------------------------------------------------------
+# -- the block record ----------------------------------------------------------------
 
 def test_entries_must_share_order():
     with pytest.raises(InvalidInputError):
@@ -57,44 +55,6 @@ def test_entries_must_be_plain():
         UT2(dual, DualSeries(0))
 
 
-def test_dual_constant_embedding():
-    m = UT2.dual_constant(DualScalar(2.0, 3.0), 2)
-    assert m.diag.body[0] == 2.0 and m.corner.body[0] == 3.0
-    assert np.all(m.diag.body[1:] == 0)
-
-
-def test_identity_neutral():
-    rng = np.random.default_rng(41)
-    a = UT2.of(rand_plain(rng, vanishing=False), rand_plain(rng, vanishing=False))
-    e = UT2.identity(a.order)
-    assert (a * e).max_abs_diff(a) == 0.0
-    assert (e * a).max_abs_diff(a) == 0.0
-
-
-def test_mul_associative():
-    rng = np.random.default_rng(42)
-    a, b, c = (UT2.of(rand_plain(rng, vanishing=False),
-                      rand_plain(rng, vanishing=False)) for _ in range(3))
-    assert ((a * b) * c).max_abs_diff(a * (b * c)) < 1e-12
-
-
-def test_mul_corner_is_leibniz():
-    rng = np.random.default_rng(43)
-    a = UT2.of(rand_plain(rng, vanishing=False), rand_plain(rng, vanishing=False))
-    b = UT2.of(rand_plain(rng, vanishing=False), rand_plain(rng, vanishing=False))
-    prod = a * b
-    want = a.diag * b.corner + a.corner * b.diag
-    assert max(prod.corner.max_abs_diff(want)) < 1e-12
-
-
-def test_inverse_roundtrip():
-    rng = np.random.default_rng(44)
-    d = rand_plain(rng, vanishing=False)
-    d.body[0] = 1.3
-    a = UT2.of(d, rand_plain(rng, vanishing=False))
-    assert (a * a.inv()).max_abs_diff(UT2.identity(a.order)) < 1e-12
-
-
 def test_dual_series_roundtrip():
     rng = np.random.default_rng(45)
     f = DualSeries.from_coeffs(
@@ -105,57 +65,7 @@ def test_dual_series_roundtrip():
     assert m.to_dual_series().almost_equal(f, 0.0)
 
 
-# -- the bridge identity ----------------------------------------------------------
-
-def test_apply_series_is_dual_composition():
-    # f evaluated on [[b, c], [0, b]] == f composed with (b + eps c)
-    rng = np.random.default_rng(46)
-    for _ in range(5):
-        f = DualSeries.from_coeffs(
-            [DualScalar(complex(x), complex(y))
-             for x, y in zip(rng.uniform(-1, 1, 7), rng.uniform(-1, 1, 7))]
-        )
-        b = rand_plain(rng)
-        c = rand_plain(rng)
-        arg = UT2.of(b, c)
-        direct = apply_series(f, arg)
-        composed = f.compose(DualSeries.recombine(b, c))
-        assert direct.to_dual_series().almost_equal(composed, 1e-10)
-
-
-def test_apply_series_needs_vanishing_argument():
-    f = DualSeries.identity(4)
-    arg = UT2.dual_constant(DualScalar(1.0), 4)
-    with pytest.raises(InvalidInputError):
-        apply_series(f, arg)
-
-
-# -- the dual expectation functional -----------------------------------------------
-
-def test_moment_matrix_shape():
-    law = InfLaw.from_moments([DualScalar(1.0, 0.5), DualScalar(2.0, 0.25)])
-    m = TildeFunctional(law).moment_matrix(2)
-    assert m[0, 0] == 2.0 and m[0, 1] == 0.25 and m[1, 0] == 0.0 and m[1, 1] == 2.0
-
-
-def test_expect_poly_monomial():
-    rng = np.random.default_rng(47)
-    law = rand_law(rng, K=4)
-    tf = TildeFunctional(law)
-    coeffs = [UT2.zero(3), UT2.zero(3), UT2.identity(3)]
-    got = tf.expect_poly(coeffs)
-    want = UT2.dual_constant(law.dual_moment(2), 3)
-    assert got.max_abs_diff(want) == 0.0
-
-
-def test_expect_poly_degree_guard():
-    law = InfLaw.point_mass(1.0, K=2)
-    coeffs = [UT2.identity(2)] * 4
-    with pytest.raises(SizeLimitError):
-        TildeFunctional(law).expect_poly(coeffs)
-
-
-# -- block transforms: direct matrix route vs formula route -------------------------
+# -- block transforms: direct route vs formula route --------------------------------
 
 @pytest.mark.parametrize("kind", BLOCK_KINDS)
 def test_block_routes_agree(kind):
@@ -171,18 +81,28 @@ def test_block_routes_agree(kind):
 
 def test_block_at_zero_corner_collapses_to_scalar_transform():
     # with c = 0 the corner of the block is the infinitesimal transform of b
-    from infconv import d_transform, transform
-
     rng = np.random.default_rng(49)
     law = rand_law(rng)
     b = rand_plain(rng)
     zero = DualSeries(b.order)
-    blk = block_transform(TransformKind.ETA_PLAIN, law, b, zero)
-    body, _ = transform(TransformKind.ETA_PLAIN, law).eps_split()
-    want_diag = body.compose(b)
-    want_corner = d_transform(TransformKind.ETA_PLAIN, law).compose(b)
-    assert max(blk.diag.max_abs_diff(want_diag.truncated(blk.order))) < 1e-10
-    assert max(blk.corner.max_abs_diff(want_corner.truncated(blk.order))) < 1e-10
+    for kind in BLOCK_KINDS:
+        blk = block_transform(kind, law, b, zero)
+        body, _ = transform(kind, law).eps_split()
+        want_diag = body.compose(b)
+        want_corner = d_transform(kind, law).compose(b)
+        assert max(blk.diag.max_abs_diff(want_diag.truncated(blk.order))) < 1e-10, kind
+        assert max(blk.corner.max_abs_diff(want_corner.truncated(blk.order))) < 1e-10, kind
+
+
+def test_block_transform_needs_vanishing_argument():
+    law = InfLaw.point_mass(1.0, K=4)
+    b = DualSeries.identity(4)
+    one = DualSeries.constant(1.0, 4)
+    for kind in BLOCK_KINDS:
+        with pytest.raises(InvalidInputError):
+            block_transform(kind, law, one, b)
+        with pytest.raises(InvalidInputError):
+            block_transform(kind, law, b, one)
 
 
 def test_eta_tilde_has_no_matrix_form():
