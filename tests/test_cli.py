@@ -256,6 +256,68 @@ def test_convolve_short_laws_exit_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+# -- pinned record output ------------------------------------------------------------
+
+# One complex-valued law, so that the [re, im] JSON entries and the a+bj text
+# form both appear.  The strings below are the exact stdout of each call.
+GOLDEN_LAW = {"K": 3, "m": [1.0, [2.0, 0.5], [1.0, -1.0]],
+              "m_prime": [0.5, 0.0, [0.0, 0.25]]}
+
+GOLDEN = {
+    ("cumulants", "pretty"): (
+        "kappa[1] = 1   kappa'[1] = 0.5\n"
+        "kappa[2] = 1+0.5j   kappa'[2] = -1\n"
+        "kappa[3] = -3-2.5j   kappa'[3] = 0-0.5j\n"),
+    ("cumulants", "csv"): (
+        "n,kappa,kappa_prime\n"
+        "1,1,0.5\n"
+        "2,1+0.5j,-1\n"
+        "3,-3-2.5j,0-0.5j\n"),
+    ("cumulants", "json"): json.dumps(
+        {"K": 3, "kappa": [1.0, [1.0, 0.5], [-3.0, -2.5]],
+         "kappa_prime": [0.5, -1.0, [0.0, -0.5]]}, indent=2) + "\n",
+    ("tcoeffs", "pretty"): (
+        "t[0] = 1   t'[0] = 0.5\n"
+        "t[1] = 1+0.5j   t'[1] = -1.5-0.25j\n"
+        "t[2] = -3.75-3.5j   t'[2] = 6.125+4.5j\n"),
+    ("tcoeffs", "csv"): (
+        "n,t,t_prime\n"
+        "0,1,0.5\n"
+        "1,1+0.5j,-1.5-0.25j\n"
+        "2,-3.75-3.5j,6.125+4.5j\n"),
+    ("tcoeffs", "json"): json.dumps(
+        {"K": 3, "t": [1.0, [1.0, 0.5], [-3.75, -3.5]],
+         "t_prime": [0.5, [-1.5, -0.25], [6.125, 4.5]]}, indent=2) + "\n",
+    ("convolve", "pretty"): (
+        "free product law (K = 3)\n"
+        "m[1] = 1   m'[1] = 1\n"
+        "m[2] = 3+1j   m'[2] = 2+1j\n"
+        "m[3] = 3.25+1j   m'[3] = -3.75-2.5j\n"),
+    ("convolve", "csv"): (
+        "n,m,m_prime\n"
+        "1,1,1\n"
+        "2,3+1j,2+1j\n"
+        "3,3.25+1j,-3.75-2.5j\n"),
+    ("convolve", "json"): json.dumps(
+        {"kind": "free",
+         "law": {"K": 3, "m": [1.0, [3.0, 1.0], [3.25, 1.0]],
+                 "m_prime": [1.0, [2.0, 1.0], [-3.75, -2.5]]}}, indent=2) + "\n",
+}
+
+
+@pytest.mark.parametrize("target,fmt", sorted(GOLDEN))
+def test_record_output_is_pinned(capsys, tmp_path, target, fmt):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(GOLDEN_LAW))
+    if target == "convolve":
+        argv = ["convolve", "--kind", "free", "--law-x", str(path), "--law-y", str(path)]
+    else:
+        argv = ["law", "--in", str(path), "--emit", target]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == GOLDEN[target, fmt]
+
+
 # -- wishart ---------------------------------------------------------------------
 
 

@@ -511,8 +511,20 @@ def test_mixed_check_size_guard():
 
 # -- serialization ---------------------------------------------------------------------
 
-def test_vector_json_keys():
-    cum = cumulants_from_moments(InfLaw.point_mass(1.0, K=3))
-    assert set(cum.to_json_obj()) == {"K", "kappa", "kappa_prime"}
-    tv = t_coeffs_from_moments(InfLaw.point_mass(1.0, K=3))
-    assert set(tv.to_json_obj()) == {"K", "t", "t_prime"}
+@pytest.mark.parametrize("record,body,eps", [
+    (InfLaw, "m", "m_prime"),
+    (CumulantVector, "kappa", "kappa_prime"),
+    (TCoeffVector, "t", "t_prime"),
+], ids=["InfLaw", "CumulantVector", "TCoeffVector"])
+def test_dual_record_shape_and_json_keys(record, body, eps):
+    full, short = [1.0, 2.0, 3.0], [1.0, 2.0]
+    with pytest.raises(InvalidInputError):
+        record(3, short, full)
+    with pytest.raises(InvalidInputError):
+        record(3, full, short)
+    rec = record(3, full, [0.0, 0.5j, 1.0])
+    assert list(rec.to_json_obj()) == ["K", body, eps]
+    assert rec.to_json_obj()[eps] == [0.0, [0.0, 0.5], 1.0]
+    if record is InfLaw:
+        with pytest.raises(InvalidInputError):
+            InfLaw(0, [], [])
