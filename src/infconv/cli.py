@@ -21,8 +21,8 @@ import numpy as np
 
 from . import cumulants as _cum
 from . import laws as _laws
-from .convolve import ProductKind, convolve_by_transform, verify
-from .dual import DualScalar
+from .convolve import ORACLE_MAX_K, ProductKind, convolve_by_transform, verify
+from .dual import DualRecord, DualScalar
 from .errors import (
     ConfigError,
     InfconvError,
@@ -41,13 +41,6 @@ from .partitions import (
 )
 from .series import DualSeries
 from .wishart import WishartConfig, estimate_moments, product_experiment
-
-class _Unset:
-    def __repr__(self):
-        return "<unset>"
-
-
-_UNSET = _Unset()
 
 _CONFIG_KEYS = {
     "format": str,
@@ -116,8 +109,8 @@ def _load_config_file(path: str) -> dict:
 
 
 def _pick(args, config: dict, key: str, default):
-    val = getattr(args, key, _UNSET)
-    if val is not _UNSET and val is not None:
+    val = getattr(args, key, None)
+    if val is not None:
         return val
     if key in config:
         return config[key]
@@ -185,12 +178,6 @@ def cmd_partitions(args, config: dict, out) -> int:
 # -- law -----------------------------------------------------------------------
 
 
-def _series_rows(s: DualSeries):
-    for k in range(s.order + 1):
-        v = s.coeff(k)
-        yield k, v
-
-
 def cmd_law(args, config: dict, out) -> int:
     law = _read_law(args.infile)
     K = _pick(args, config, "K", None)
@@ -211,50 +198,43 @@ def cmd_law(args, config: dict, out) -> int:
                                   "series": series.to_json_obj()}) + "\n")
         elif fmt == "csv":
             out.write("n,re,im,re_prime,im_prime\n")
-            for k, v in _series_rows(series):
+            for k in range(series.order + 1):
+                v = series.coeff(k)
                 out.write(f"{k},{_fmt(v.body.real)},{_fmt(v.body.imag)},"
                           f"{_fmt(v.eps.real)},{_fmt(v.eps.imag)}\n")
         else:
             out.write(f"{kind.value} (order {series.order})\n")
-            for k, v in _series_rows(series):
+            for k in range(series.order + 1):
+                v = series.coeff(k)
                 out.write(f"  z^{k}: {_cfmt(v.body)} (d: {_cfmt(v.eps)})\n")
         return 0
     if emit == "cumulants":
-        cv = _cum.cumulants_from_moments(law)
-        if fmt == "json":
-            out.write(_emit_json(cv.to_json_obj()) + "\n")
-        elif fmt == "csv":
-            out.write("n,kappa,kappa_prime\n")
-            for i in range(cv.K):
-                out.write(f"{i + 1},{_cfmt(cv.kappa[i])},{_cfmt(cv.kappa_prime[i])}\n")
-        else:
-            for i in range(cv.K):
-                out.write(f"kappa[{i + 1}] = {_cfmt(cv.kappa[i])}   "
-                          f"kappa'[{i + 1}] = {_cfmt(cv.kappa_prime[i])}\n")
-        return 0
-    if emit == "tcoeffs":
-        tv = _cum.t_coeffs_from_moments(law)
-        if fmt == "json":
-            out.write(_emit_json(tv.to_json_obj()) + "\n")
-        elif fmt == "csv":
-            out.write("n,t,t_prime\n")
-            for i in range(tv.K):
-                out.write(f"{i},{_cfmt(tv.t[i])},{_cfmt(tv.t_prime[i])}\n")
-        else:
-            for i in range(tv.K):
-                out.write(f"t[{i}] = {_cfmt(tv.t[i])}   "
-                          f"t'[{i}] = {_cfmt(tv.t_prime[i])}\n")
-        return 0
-    raise ConfigError(f"unknown emit target {emit!r}")
+        rec, first = _cum.cumulants_from_moments(law), 1
+    elif emit == "tcoeffs":
+        rec, first = _cum.t_coeffs_from_moments(law), 0
+    else:
+        raise ConfigError(f"unknown emit target {emit!r}")
+    if fmt == "json":
+        out.write(_emit_json(rec.to_json_obj()) + "\n")
+    else:
+        _write_record(rec, first, fmt, out)
+    return 0
+
+
+def _write_record(rec: DualRecord, first: int, fmt: str, out) -> None:
+    """csv or pretty table of a dual record, rows numbered from `first`."""
+    body, eps = rec.ARRAYS
+    rows = zip(range(first, first + rec.K), getattr(rec, body), getattr(rec, eps))
+    if fmt == "csv":
+        out.write(f"n,{body},{eps}\n")
+        for n, b, e in rows:
+            out.write(f"{n},{_cfmt(b)},{_cfmt(e)}\n")
+    else:
+        for n, b, e in rows:
+            out.write(f"{body}[{n}] = {_cfmt(b)}   {body}'[{n}] = {_cfmt(e)}\n")
 
 
 # -- convolve --------------------------------------------------------------------
-
-
-def _law_pretty(law: InfLaw, out):
-    for i in range(law.K):
-        out.write(f"m[{i + 1}] = {_cfmt(law.m[i])}   "
-                  f"m'[{i + 1}] = {_cfmt(law.m_prime[i])}\n")
 
 
 def cmd_convolve(args, config: dict, out) -> int:
@@ -268,7 +248,7 @@ def cmd_convolve(args, config: dict, out) -> int:
     report = None
     if args.verify:
         vk = K if K is not None else min(lawx.K, lawy.K)
-        vk = min(vk, 8 if kind is not ProductKind.BOOLEAN else 10)
+        vk = min(vk, ORACLE_MAX_K[kind])
         report = verify(kind, lawx, lawy, vk, order=order)
     if fmt == "json":
         obj = {"kind": kind.value, "law": product.to_json_obj()}
@@ -276,15 +256,13 @@ def cmd_convolve(args, config: dict, out) -> int:
             obj["verify"] = report.to_json_obj()
         out.write(_emit_json(obj) + "\n")
     elif fmt == "csv":
-        out.write("n,m,m_prime\n")
-        for i in range(product.K):
-            out.write(f"{i + 1},{_cfmt(product.m[i])},{_cfmt(product.m_prime[i])}\n")
+        _write_record(product, 1, fmt, out)
         if report is not None:
             out.write(f"# verify pass={report.passed} body={report.deviation_body:.3e}"
                       f" eps={report.deviation_eps:.3e}\n")
     else:
         out.write(f"{kind.value} product law (K = {product.K})\n")
-        _law_pretty(product, out)
+        _write_record(product, 1, fmt, out)
         if report is not None:
             out.write(f"verify: {'pass' if report.passed else 'FAIL'} "
                       f"(body {report.deviation_body:.3e}, "
@@ -519,8 +497,9 @@ def _selftest_checks():
 
 
 def cmd_selftest(args, config: dict, out) -> int:
+    checks = _selftest_checks()
     failures = 0
-    for name, fn in _selftest_checks():
+    for name, fn in checks:
         try:
             msg = fn()
         except InfconvError as exc:
@@ -530,8 +509,7 @@ def cmd_selftest(args, config: dict, out) -> int:
         else:
             failures += 1
             out.write(f"FAIL {name}: {msg}\n")
-    total = len(_selftest_checks())
-    out.write(f"{total - failures} passed, {failures} failed\n")
+    out.write(f"{len(checks) - failures} passed, {failures} failed\n")
     return 1 if failures else 0
 
 
@@ -551,14 +529,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", default=None,
                    help="flat key=value config file; flags override")
-    p.add_argument("--format", choices=("json", "csv", "pretty"), default=_UNSET,
+    p.add_argument("--format", choices=("json", "csv", "pretty"),
                    help="output format (default pretty)")
     sub = p.add_subparsers(dest="command", required=True)
 
     pp = sub.add_parser("partitions", parents=[common],
                         help="enumerate non-crossing (linked) partitions")
     pp.add_argument("n", type=int)
-    pp.add_argument("--kind", choices=("nc", "ncl"), default=_UNSET)
+    pp.add_argument("--kind", choices=("nc", "ncl"))
     pp.add_argument("--classof", default=None,
                     help="'1n' or a partition literal; prints its linked class")
 
@@ -567,28 +545,25 @@ def build_parser() -> argparse.ArgumentParser:
                     help="law JSON file, or - for stdin")
     pl.add_argument("--emit", choices=("transform", "cumulants", "tcoeffs"),
                     required=True)
-    pl.add_argument("--kind", default=_UNSET,
-                    help="transform kind (psi, eta_tilde, eta_plain, kappa, rho, s, t)")
-    pl.add_argument("-K", dest="K", type=int, default=_UNSET,
-                    help="truncate the law to K moments first")
+    pl.add_argument("--kind", help="transform kind (psi, eta_tilde, eta_plain, kappa, rho, s, t)")
+    pl.add_argument("-K", dest="K", type=int, help="truncate the law to K moments first")
 
     pc = sub.add_parser("convolve", parents=[common], help="multiplicative convolution of two laws")
-    pc.add_argument("--kind", choices=("free", "boolean", "monotone"), default=_UNSET)
+    pc.add_argument("--kind", choices=("free", "boolean", "monotone"))
     pc.add_argument("--law-x", dest="law_x", required=True)
     pc.add_argument("--law-y", dest="law_y", required=True)
-    pc.add_argument("-K", dest="K", type=int, default=_UNSET)
-    pc.add_argument("--order", choices=("yx", "xy"), default=_UNSET,
-                    help="monotone product order")
+    pc.add_argument("-K", dest="K", type=int)
+    pc.add_argument("--order", choices=("yx", "xy"), help="monotone product order")
     pc.add_argument("--verify", action="store_true",
                     help="cross-check against the independence oracle")
 
     pw = sub.add_parser("wishart", parents=[common], help="Monte Carlo vs the limit law")
-    pw.add_argument("--c", type=float, default=_UNSET)
-    pw.add_argument("--cprime", type=float, default=_UNSET)
-    pw.add_argument("--N", default=_UNSET, help="comma-separated sizes")
-    pw.add_argument("--trials", type=int, default=_UNSET)
-    pw.add_argument("--kmax", type=int, default=_UNSET)
-    pw.add_argument("--seed", type=int, default=_UNSET)
+    pw.add_argument("--c", type=float)
+    pw.add_argument("--cprime", type=float)
+    pw.add_argument("--N", help="comma-separated sizes")
+    pw.add_argument("--trials", type=int)
+    pw.add_argument("--kmax", type=int)
+    pw.add_argument("--seed", type=int)
     pw.add_argument("--product", action="store_true",
                     help="two independent matrices, traces of (X1 X2)^k")
     pw.add_argument("--out", default=None, help="write the report to a file")

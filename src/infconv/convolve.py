@@ -22,7 +22,6 @@ xy (rho composition).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -182,13 +181,20 @@ def monotone_word_moment(
 
 # -- oracles -----------------------------------------------------------------
 
+# Largest K each oracle accepts; the CLI clamps --verify to it.
+ORACLE_MAX_K = {ProductKind.FREE: 8, ProductKind.BOOLEAN: 10, ProductKind.MONOTONE: 8}
+
+
+def _check_oracle_K(kind: ProductKind, lawX: InfLaw, lawY: InfLaw, K: int) -> None:
+    if not 1 <= K <= ORACLE_MAX_K[kind]:
+        raise SizeLimitError(f"{kind.value} oracle supports 1 <= K <= {ORACLE_MAX_K[kind]}")
+    if K > min(lawX.K, lawY.K):
+        raise SizeLimitError("input laws hold fewer than K moments")
+
 
 def oracle_free_product(lawX: InfLaw, lawY: InfLaw, K: int) -> InfLaw:
     """Dual moments of xy for infinitesimally free x, y."""
-    if not 1 <= K <= 8:
-        raise SizeLimitError("free oracle supports 1 <= K <= 8")
-    if K > min(lawX.K, lawY.K):
-        raise SizeLimitError("input laws hold fewer than K moments")
+    _check_oracle_K(ProductKind.FREE, lawX, lawY, K)
     phi = free_mixed_moments(lawX, lawY)
     return InfLaw.from_moments([phi(("x", "y") * k) for k in range(1, K + 1)])
 
@@ -200,10 +206,7 @@ def oracle_boolean_product(lawX: InfLaw, lawY: InfLaw, K: int) -> InfLaw:
     pattern; adjacent equal letters merge into powers whose dual moments
     multiply.  Implemented as a run-tracking sweep over the 2k factors.
     """
-    if not 1 <= K <= 10:
-        raise SizeLimitError("boolean oracle supports 1 <= K <= 10")
-    if K > min(lawX.K, lawY.K):
-        raise SizeLimitError("input laws hold fewer than K moments")
+    _check_oracle_K(ProductKind.BOOLEAN, lawX, lawY, K)
     laws = {"x": lawX, "y": lawY}
     out = []
     for k in range(1, K + 1):
@@ -252,10 +255,7 @@ def oracle_monotone_product(
     (y a?)^k with the same y-runs.  The two orders differ only for
     operator-valued data; ``order`` stays part of the interface.
     """
-    if not 1 <= K <= 8:
-        raise SizeLimitError("monotone oracle supports 1 <= K <= 8")
-    if K > min(lawX.K, lawY.K):
-        raise SizeLimitError("input laws hold fewer than K moments")
+    _check_oracle_K(ProductKind.MONOTONE, lawX, lawY, K)
     if order not in ("yx", "xy"):
         raise InvalidInputError("order must be 'yx' or 'xy'")
     lawA = shifted(lawX.truncated(K), -1.0)
@@ -353,9 +353,6 @@ class VerificationReport:
             "deviation_eps": self.deviation_eps,
             "pass": self.passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
 
 def verify(

@@ -30,7 +30,6 @@ factor plans (_mixed_plan).
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dual import DualScalar
+from .dual import DualRecord, DualScalar
 from .errors import InvalidInputError, MathDomainError, SizeLimitError
 from .laws import InfLaw, t_transform
 from .partitions import (
@@ -75,72 +74,33 @@ def _ncl(n: int) -> tuple[LinkedPartition, ...]:
 
 
 @dataclass(frozen=True)
-class CumulantVector:
+class CumulantVector(DualRecord):
     """Dual free cumulants kappa~_1..kappa~_K."""
 
-    K: int
+    ARRAYS = ("kappa", "kappa_prime")
     kappa: np.ndarray
     kappa_prime: np.ndarray
-
-    def __post_init__(self) -> None:
-        k = np.asarray(self.kappa, dtype=complex)
-        kp = np.asarray(self.kappa_prime, dtype=complex)
-        if k.shape != (self.K,) or kp.shape != (self.K,):
-            raise InvalidInputError("cumulant arrays must have length K")
-        object.__setattr__(self, "kappa", k)
-        object.__setattr__(self, "kappa_prime", kp)
 
     def dual(self, n: int) -> DualScalar:
         return DualScalar(self.kappa[n - 1], self.kappa_prime[n - 1])
 
-    def to_json_obj(self) -> dict:
-        def enc(x: complex):
-            return x.real if x.imag == 0 else [x.real, x.imag]
-
-        return {
-            "K": self.K,
-            "kappa": [enc(x) for x in self.kappa],
-            "kappa_prime": [enc(x) for x in self.kappa_prime],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
 
 @dataclass(frozen=True)
-class TCoeffVector:
+class TCoeffVector(DualRecord):
     """Dual t-coefficients t~_0..t~_{K-1} of a single variable."""
 
-    K: int
+    ARRAYS = ("t", "t_prime")
     t: np.ndarray
     t_prime: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=complex)
-        tp = np.asarray(self.t_prime, dtype=complex)
-        if t.shape != (self.K,) or tp.shape != (self.K,):
-            raise InvalidInputError("t arrays must have length K")
-        if t[0] == 0:
+        super().__post_init__()
+        if self.t[0] == 0:
             raise MathDomainError("t_0 (the mean) must have invertible body")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "t_prime", tp)
 
     def dual(self, n: int) -> DualScalar:
         """t~_n for n = 0..K-1."""
         return DualScalar(self.t[n], self.t_prime[n])
-
-    def to_json_obj(self) -> dict:
-        def enc(x: complex):
-            return x.real if x.imag == 0 else [x.real, x.imag]
-
-        return {
-            "K": self.K,
-            "t": [enc(x) for x in self.t],
-            "t_prime": [enc(x) for x in self.t_prime],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
 
 # -- moments <-> free cumulants ---------------------------------------------

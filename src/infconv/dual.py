@@ -1,15 +1,23 @@
-"""Dual numbers a + eps*a' with eps^2 = 0.
+"""Dual numbers a + eps*a' with eps^2 = 0, and records of K of them.
 
-These are the scalar shadow of the upper triangular 2x2 embedding
+Dual numbers are the scalar shadow of the upper triangular 2x2 embedding
 [[a, a'], [0, a]]: addition and multiplication agree entrywise, and the
 eps component of a product obeys the Leibniz rule.
+
+``DualRecord`` is the one shape of the package's K-long dual sequences
+(moments, free cumulants, t-coefficients): K and two complex arrays, body
+and eps, with one length check and one JSON encoding.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from typing import ClassVar
 
-from .errors import MathDomainError
+import numpy as np
+
+from .errors import InvalidInputError, MathDomainError
 
 _NUMS = (int, float, complex)
 
@@ -75,3 +83,35 @@ class DualScalar:
 
     def __repr__(self) -> str:
         return f"DualScalar({self.body!r}, {self.eps!r})"
+
+
+@dataclass(frozen=True)
+class DualRecord:
+    """K dual numbers held as two complex arrays of shape (K,).
+
+    A subclass declares the two array fields after K and names them, body
+    first, in ARRAYS; JSON writes K and then both arrays under those names,
+    each entry a number or [re, im].
+    """
+
+    ARRAYS: ClassVar[tuple[str, str]]
+    K: int
+
+    def __post_init__(self) -> None:
+        body, eps = self.ARRAYS
+        b = np.asarray(getattr(self, body), dtype=complex)
+        e = np.asarray(getattr(self, eps), dtype=complex)
+        if b.shape != (self.K,) or e.shape != (self.K,):
+            raise InvalidInputError(f"{body} and {eps} must have length K")
+        object.__setattr__(self, body, b)
+        object.__setattr__(self, eps, e)
+
+    def to_json_obj(self) -> dict:
+        obj = {"K": self.K}
+        for name in self.ARRAYS:
+            obj[name] = [x.real if x.imag == 0 else [x.real, x.imag]
+                         for x in getattr(self, name)]
+        return obj
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_obj())

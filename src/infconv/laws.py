@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dual import DualScalar
+from .dual import DualRecord, DualScalar
 from .errors import InvalidInputError, MathDomainError
 from .series import DualSeries
 
@@ -54,22 +54,17 @@ class TransformKind(Enum):
 
 
 @dataclass(frozen=True)
-class InfLaw:
+class InfLaw(DualRecord):
     """Dual moments m~_1..m~_K of a scalar infinitesimal law."""
 
-    K: int
+    ARRAYS = ("m", "m_prime")
     m: np.ndarray
     m_prime: np.ndarray
 
     def __post_init__(self) -> None:
         if self.K < 1:
             raise InvalidInputError("law order K must be >= 1")
-        m = np.asarray(self.m, dtype=complex)
-        mp = np.asarray(self.m_prime, dtype=complex)
-        if m.shape != (self.K,) or mp.shape != (self.K,):
-            raise InvalidInputError("moment arrays must have length K")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "m_prime", mp)
+        super().__post_init__()
 
     @staticmethod
     def from_moments(moments, K: int | None = None) -> "InfLaw":
@@ -104,19 +99,6 @@ class InfLaw:
         return db, de
 
     # -- serialization ----------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        def enc(x: complex):
-            return x.real if x.imag == 0 else [x.real, x.imag]
-
-        return {
-            "K": self.K,
-            "m": [enc(x) for x in self.m],
-            "m_prime": [enc(x) for x in self.m_prime],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
     @staticmethod
     def from_json_obj(obj: dict) -> "InfLaw":

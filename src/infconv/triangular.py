@@ -27,7 +27,7 @@ length three on, which serves as the negative control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -96,9 +96,6 @@ class UT2:
         cc = self.corner.max_abs_diff(other.corner)
         return max(dd[0], dd[1], cc[0], cc[1])
 
-    def almost_equal(self, other: "UT2", tol: float = 1e-10) -> bool:
-        return self.max_abs_diff(other) <= tol
-
 
 def _vanishing_arg(b, c) -> UT2:
     B = UT2.of(b, c)
@@ -148,14 +145,7 @@ class CenteredWordReport:
     worst_eps_word: str
 
     def to_json_obj(self) -> dict:
-        return {
-            "model": self.model,
-            "words_checked": self.words_checked,
-            "max_body": self.max_body,
-            "max_eps": self.max_eps,
-            "worst_body_word": self.worst_body_word,
-            "worst_eps_word": self.worst_eps_word,
-        }
+        return asdict(self)
 
 
 def centered_alternating_check(

@@ -52,7 +52,7 @@ import math
 import os
 import threading
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Iterable
 
@@ -138,47 +138,15 @@ class McEstimate:
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
         for r in self.rows:
-            lines.append(
-                f"{r.N},{r.k},{r.mean:.12g},{r.stderr:.12g},{r.phi_pred:.12g},"
-                f"{r.phi_prime_est:.12g},{r.phi_prime_pred:.12g}"
-            )
+            lines.append(",".join(format(getattr(r, col), ".12g") for col in CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
         return {
-            "config": {
-                "c": self.config.c,
-                "c_prime": self.config.c_prime,
-                "N_list": list(self.config.N_list),
-                "trials": self.config.trials,
-                "k_max": self.config.k_max,
-                "seed": self.config.seed,
-                "product": self.product,
-            },
-            "rows": [
-                {
-                    "N": r.N,
-                    "k": r.k,
-                    "mean": r.mean,
-                    "stderr": r.stderr,
-                    "phi_pred": r.phi_pred,
-                    "phi_prime_est": r.phi_prime_est,
-                    "phi_prime_pred": r.phi_prime_pred,
-                }
-                for r in self.rows
-            ],
-            "extrapolation": [
-                {
-                    "k": e.k,
-                    "phi_est": e.phi_est,
-                    "phi_stderr": e.phi_stderr,
-                    "phi_prime_est": e.phi_prime_est,
-                    "phi_prime_stderr": e.phi_prime_stderr,
-                    "phi_pred": e.phi_pred,
-                    "phi_prime_pred": e.phi_prime_pred,
-                }
-                for e in self.extrapolation
-            ],
+            "config": {**asdict(self.config), "N_list": list(self.config.N_list),
+                       "product": self.product},
+            "rows": [asdict(r) for r in self.rows],
+            "extrapolation": [asdict(e) for e in self.extrapolation],
         }
 
     def to_json(self) -> str:

@@ -235,6 +235,16 @@ def test_convolve_with_verify_reports_pass(capsys, tmp_path):
     assert rep["deviation_body"] < 1e-8
 
 
+def test_convolve_verify_clamps_to_oracle_limit(capsys, tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(InfLaw.point_mass(1.0, K=10).to_json())
+    for kind, vk in (("free", 8), ("boolean", 10), ("monotone", 8)):
+        code, out, _ = run(capsys, "convolve", "--kind", kind, "--law-x", str(path),
+                           "--law-y", str(path), "--verify", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["verify"]["K"] == vk
+
+
 def test_convolve_csv_format(capsys, tmp_path):
     path = tmp_path / "w.json"
     path.write_text(constant_cumulant_law(1.0, 0.0, K=4).to_json())

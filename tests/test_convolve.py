@@ -183,7 +183,7 @@ def test_oracle_agrees_with_transform(kind):
     for _ in range(5):
         lawX, lawY = rand_law(rng), rand_law(rng)
         report = verify(kind, lawX, lawY, 6)
-        assert report.passed, report.to_json()
+        assert report.passed, report
         assert report.deviation_body < 1e-8
         assert report.deviation_eps < 1e-8
 
@@ -193,7 +193,7 @@ def test_monotone_orders_agree_with_their_oracles():
     lawX, lawY = rand_law(rng), rand_law(rng)
     for order in ("yx", "xy"):
         report = verify(ProductKind.MONOTONE, lawX, lawY, 6, order=order)
-        assert report.passed, report.to_json()
+        assert report.passed, report
 
 
 def test_wrong_independence_is_loud():
@@ -231,6 +231,9 @@ def test_kind_from_name():
 
 def test_oracle_size_guards():
     law = InfLaw.point_mass(1.0, K=12)
+    assert oracle_free_product(law, law, 8).K == 8
+    assert oracle_boolean_product(law, law, 10).K == 10
+    assert oracle_monotone_product(law, law, 8).K == 8
     with pytest.raises(SizeLimitError):
         oracle_free_product(law, law, 9)
     with pytest.raises(SizeLimitError):
