@@ -5,8 +5,9 @@ Each product kind is computed along two fully independent routes:
 * an oracle that expands words letter by letter straight from the relevant
   infinitesimal independence definition, over dual scalars (the Boolean and
   monotone oracles sum all subsequence words in one run-tracking sweep over
-  the factor sequence; ``monotone_word_moment`` is the word-by-word
-  reference), and
+  the factor sequence of the K-th moment, reading every lower moment off
+  its prefixes; ``monotone_word_moment`` is the word-by-word reference),
+  and
 * the transform identity (dual T product, dual eta-tilde product, or dual
   kappa/rho composition) followed by moment recovery.
 
@@ -204,16 +205,17 @@ def oracle_boolean_product(lawX: InfLaw, lawY: InfLaw, K: int) -> InfLaw:
 
     Expands ((1+x)(1+y))^k into subsequence words of the alternating
     pattern; adjacent equal letters merge into powers whose dual moments
-    multiply.  Implemented as a run-tracking sweep over the 2k factors.
+    multiply.  Implemented as a run-tracking sweep over the factors; the
+    factor sequence for k is a prefix of the one for K, so one sweep yields
+    every moment, reading out after each ("x", "y") pair.
     """
     _check_oracle_K(ProductKind.BOOLEAN, lawX, lawY, K)
     laws = {"x": lawX, "y": lawY}
+    # states: (current run letter or None, run length) -> dual weight
+    states: dict[tuple, DualScalar] = {(None, 0): DualScalar(1.0)}
     out = []
-    for k in range(1, K + 1):
-        factors = ("x", "y") * k
-        # states: (current run letter or None, run length) -> dual weight
-        states: dict[tuple, DualScalar] = {(None, 0): DualScalar(1.0)}
-        for letter in factors:
+    for _ in range(K):
+        for letter in ("x", "y"):
             new: dict[tuple, DualScalar] = {}
 
             def add(key, val):

@@ -4,14 +4,20 @@ Moment/cumulant conversion runs over dual scalars, so the eps component
 implements the infinitesimal (primed) recursion automatically.  It reads
 the first-block gap sums [z^r] M(z)^s off power rows of the moment series,
 built once per call in O(K^3).  The literal partition sums (NC(n)
-cumulant recursion, linked-partition t-sums, product rule for t) are
-separate code paths and serve as cross-checks in the test suite.
+cumulant recursion, linked-partition t-sums) are separate code paths and
+serve as cross-checks in the test suite.
 
 t-coefficients: phi(a_1..a_n) = sum over non-crossing linked partitions of
 t_pi, where t_pi multiplies t_{|V|-1}(subword of V) over blocks V and one
-t_0(a_k) for every element k that is minimal in no block.  For a single
-variable the data is the vector t_0..t_{K-1}; its generating function is
-the T-transform: T(z) = sum t_n z^n.
+t_0(a_k) for every element k that is minimal in no block; _factor_positions
+lists those factors.  For a single variable the data is the vector
+t_0..t_{K-1}; its generating function is the T-transform:
+T(z) = sum t_n z^n.
+
+Infinitesimal parts of partition sums: every oracle writes a summand as a
+product of dual factors, and _product_rule returns its body and its eps
+part (one factor primed at a time, from prefix and suffix products), on
+plain complex numbers.
 
 Routes for a single variable: t_coeffs_from_moments reads the coefficients
 off the T-series (production).  moments_from_t, kappa_from_t and
@@ -189,22 +195,31 @@ def inf_cumulants_direct(law: InfLaw) -> np.ndarray:
         for sizes, count in _nc_types(n):
             if len(sizes) == 1:
                 continue
-            vals = [kb[s - 1] for s in sizes]
-            # prefix/suffix products give every leave-one-out product safely
-            nblk = len(vals)
-            pre = [1.0 + 0.0j] * (nblk + 1)
-            suf = [1.0 + 0.0j] * (nblk + 1)
-            for i in range(nblk):
-                pre[i + 1] = pre[i] * vals[i]
-                suf[nblk - 1 - i] = suf[nblk - i] * vals[nblk - 1 - i]
-            term = 0.0 + 0.0j
-            for v, sv in enumerate(sizes):
-                term += kp[sv - 1] * pre[v] * suf[v + 1]
-            body += count * pre[nblk]
-            eps += count * term
+            b, e = _product_rule([kb[s - 1] for s in sizes], [kp[s - 1] for s in sizes])
+            body += count * b
+            eps += count * e
         kb[n - 1] = law.m[n - 1] - body
         kp[n - 1] = law.m_prime[n - 1] - eps
     return kp
+
+
+def _product_rule(body: Sequence[complex], eps: Sequence[complex]) -> tuple[complex, complex]:
+    """Body and eps part of the dual product of the factors body_i + eps eps_i.
+
+    Returns (prod_i body_i, sum_i eps_i prod_{j != i} body_j): the product
+    rule with one factor primed at a time.  Prefix and suffix products give
+    every leave-one-out product without dividing, so zero bodies are safe.
+    """
+    nb = len(body)
+    pre = [1.0 + 0.0j] * (nb + 1)
+    suf = [1.0 + 0.0j] * (nb + 1)
+    for i in range(nb):
+        pre[i + 1] = pre[i] * body[i]
+        suf[nb - 1 - i] = suf[nb - i] * body[nb - 1 - i]
+    d = 0.0 + 0.0j
+    for i in range(nb):
+        d += eps[i] * pre[i] * suf[i + 1]
+    return pre[nb], d
 
 
 # -- t-coefficients ----------------------------------------------------------
@@ -258,7 +273,8 @@ def _linked_full_types(n: int) -> TypeTable:
     by shifting sizes: the counts agree, but that would make the linked
     route of kappa_from_t the interval route under another name.  The
     representative is the first partition of its type in lexicographic
-    order, a real partition for d_t_pi_value's literal product rule.
+    order, a real partition whose factors (_factor_positions) the linked
+    route multiplies.
     """
     return _group_by_type(linked_class(SetPartition.of(n, [range(1, n + 1)])))
 
@@ -288,16 +304,6 @@ def _ncl_types(n: int) -> TypeCounts:
     return tuple(sorted(counts.items()))
 
 
-def _t_pi_single(sizes: tuple[int, ...], n: int, tvals: Sequence[DualScalar]) -> DualScalar:
-    acc = DualScalar(1.0)
-    for s in sizes:
-        acc = acc * tvals[s - 1]
-    # a linked partition has n - #blocks non-minimal elements, each a t_0
-    for _ in range(n - len(sizes)):
-        acc = acc * tvals[0]
-    return acc
-
-
 def t_coeffs_from_moments(law: InfLaw) -> TCoeffVector:
     """t~_0..t~_{K-1} read off the T-transform, their generating function.
 
@@ -324,14 +330,17 @@ def moments_from_t(tvec: TCoeffVector) -> InfLaw:
     K = tvec.K
     if K > 10:
         raise SizeLimitError("linked-partition sums cover n <= 10")
-    tvals = [tvec.dual(n) for n in range(K)]
-    out = []
+    t, tp = tvec.t.tolist(), tvec.t_prime.tolist()
+    mb = np.zeros(K, dtype=complex)
+    me = np.zeros(K, dtype=complex)
     for n in range(1, K + 1):
-        acc = DualScalar(0.0)
         for sizes, count in _ncl_types(n):
-            acc = acc + count * _t_pi_single(sizes, n, tvals)
-        out.append(acc)
-    return InfLaw.from_moments(out)
+            # one t_{|V|-1} per block, one t_0 per non-minimal element
+            idx = [s - 1 for s in sizes] + [0] * (n - len(sizes))
+            b, e = _product_rule([t[i] for i in idx], [tp[i] for i in idx])
+            mb[n - 1] += count * b
+            me[n - 1] += count * e
+    return InfLaw(K, mb, me)
 
 
 def t_pi_value(pi: LinkedPartition, word: Word, t_fn: TFn) -> DualScalar:
@@ -343,44 +352,28 @@ def t_pi_value(pi: LinkedPartition, word: Word, t_fn: TFn) -> DualScalar:
     if len(word) != pi.n:
         raise InvalidInputError("word length must match the partition size")
     acc = DualScalar(1.0)
-    for block in pi.blocks:
-        acc = acc * t_fn(tuple(word[i - 1] for i in block))
-    for k in non_minimal_elements(pi):
-        acc = acc * t_fn((word[k - 1],))
+    for pos in _factor_positions(pi):
+        acc = acc * t_fn(tuple(word[i] for i in pos))
     return acc
 
 
 def d_t_pi_value(pi: LinkedPartition, word: Word, t_fn: TFn) -> complex:
     """Literal product-rule value for the infinitesimal t_pi.
 
-    Two groups of summands: prime one block coefficient, or prime one of the
-    t_0 factors attached to non-minimal elements.  When s(pi) is empty the
-    second group is an empty sum.  Must equal the eps part of t_pi_value.
+    Sums over which factor of t_pi is primed: one block coefficient, or one
+    of the t_0 factors attached to non-minimal elements.  Must equal the
+    eps part of t_pi_value.
     """
     if len(word) != pi.n:
         raise InvalidInputError("word length must match the partition size")
-    blocks = [tuple(word[i - 1] for i in b) for b in pi.blocks]
-    extras = [(word[k - 1],) for k in non_minimal_elements(pi)]
-    bvals = [t_fn(w).body for w in blocks]
-    evals = [t_fn(w).body for w in extras]
-    total = 0.0 + 0.0j
-    for i, w in enumerate(blocks):
-        term = t_fn(w).eps
-        for j, bv in enumerate(bvals):
-            if j != i:
-                term *= bv
-        for ev in evals:
-            term *= ev
-        total += term
-    for i, w in enumerate(extras):
-        term = t_fn(w).eps
-        for bv in bvals:
-            term *= bv
-        for j, ev in enumerate(evals):
-            if j != i:
-                term *= ev
-        total += term
-    return total
+    vals = [t_fn(tuple(word[i] for i in pos)) for pos in _factor_positions(pi)]
+    return _product_rule([v.body for v in vals], [v.eps for v in vals])[1]
+
+
+def _factor_positions(pi: LinkedPartition) -> list[tuple[int, ...]]:
+    """0-based word positions of t_pi's factors: each block, then s(pi)."""
+    return ([tuple(i - 1 for i in block) for block in pi.blocks]
+            + [(k - 1,) for k in non_minimal_elements(pi)])
 
 
 # (distinct factor subsets as 0-based index tuples, factor ids per partition)
@@ -401,9 +394,7 @@ def _mixed_plan(n: int) -> MixedPlan:
     for pi in _ncl(n):
         if pi.num_blocks == 1:
             continue
-        subsets = [tuple(i - 1 for i in block) for block in pi.blocks]
-        subsets += [(k - 1,) for k in non_minimal_elements(pi)]
-        plans.append(tuple(ids.setdefault(sub, len(ids)) for sub in subsets))
+        plans.append(tuple(ids.setdefault(pos, len(ids)) for pos in _factor_positions(pi)))
     return tuple(ids), tuple(plans)
 
 
@@ -461,10 +452,8 @@ class MixedVanishingReport:
     words_checked: int
 
 
-def mixed_vanishing_check(
-    moment_fn: MomentFn, max_len: int, letters: tuple = ("x", "y")
-) -> MixedVanishingReport:
-    """Largest |t| and |t'| over genuinely mixed words up to max_len.
+def mixed_vanishing_check(moment_fn: MomentFn, max_len: int) -> MixedVanishingReport:
+    """Largest |t| and |t'| over genuinely mixed words in x, y up to max_len.
 
     For infinitesimally free letters both maxima vanish; a Boolean pair is
     the standard negative control.
@@ -478,7 +467,7 @@ def mixed_vanishing_check(
     we: Word = ()
     count = 0
     for n in range(2, max_len + 1):
-        for word in product(letters, repeat=n):
+        for word in product(("x", "y"), repeat=n):
             if len(set(word)) < 2:
                 continue
             val = t(word)
@@ -516,60 +505,31 @@ def _kappa_from_t_linked(tvec: TCoeffVector) -> CumulantVector:
     K = tvec.K
     if K > 10:
         raise SizeLimitError("linked route sums linked-partition types up to K = 10")
-
-    def t_fn(word: Word) -> DualScalar:
-        return tvec.dual(len(word) - 1)
-
+    t, tp = tvec.t.tolist(), tvec.t_prime.tolist()
     kb = np.zeros(K, dtype=complex)
     kp = np.zeros(K, dtype=complex)
     for n in range(1, K + 1):
-        word = ("a",) * n
-        body = 0.0 + 0.0j
-        eps = 0.0 + 0.0j
         for _, rep, count in _linked_full_types(n):
-            body += count * _t_pi_body(rep, tvec)
-            eps += count * d_t_pi_value(rep, word, t_fn)
-        kb[n - 1] = body
-        kp[n - 1] = eps
+            idx = [len(pos) - 1 for pos in _factor_positions(rep)]
+            b, e = _product_rule([t[i] for i in idx], [tp[i] for i in idx])
+            kb[n - 1] += count * b
+            kp[n - 1] += count * e
     return CumulantVector(K, kb, kp)
-
-
-def _t_pi_body(pi: LinkedPartition, tvec: TCoeffVector) -> complex:
-    acc = 1.0 + 0.0j
-    for block in pi.blocks:
-        acc *= tvec.t[len(block) - 1]
-    acc *= tvec.t[0] ** (pi.n - len(pi.blocks))
-    return acc
 
 
 def _kappa_from_t_interval(tvec: TCoeffVector) -> CumulantVector:
     K = tvec.K
     if K - 1 > 12:
         raise SizeLimitError("interval route sums NC(n-1) block types up to K = 13")
-    t, tp = tvec.t, tvec.t_prime
+    t, tp = tvec.t.tolist(), tvec.t_prime.tolist()
     kb = np.zeros(K, dtype=complex)
     kp = np.zeros(K, dtype=complex)
     kb[0], kp[0] = t[0], tp[0]
     for n in range(2, K + 1):
-        body = 0.0 + 0.0j
-        eps = 0.0 + 0.0j
         for sizes, count in _nc_types(n - 1):
-            prod = 1.0 + 0.0j
-            for s in sizes:
-                prod *= t[s]
-            pw = n - len(sizes)
-            b = prod * t[0] ** pw
-            e = 0.0 + 0.0j
-            for v, sv in enumerate(sizes):
-                term = tp[sv]
-                for w, sw in enumerate(sizes):
-                    if w != v:
-                        term *= t[sw]
-                e += term * t[0] ** pw
-            if pw >= 1:
-                e += prod * pw * tp[0] * t[0] ** (pw - 1)
-            body += count * b
-            eps += count * e
-        kb[n - 1] = body
-        kp[n - 1] = eps
+            # one t_{|V|} per block of NC(n-1), and n - #blocks factors t_0
+            idx = list(sizes) + [0] * (n - len(sizes))
+            b, e = _product_rule([t[i] for i in idx], [tp[i] for i in idx])
+            kb[n - 1] += count * b
+            kp[n - 1] += count * e
     return CumulantVector(K, kb, kp)

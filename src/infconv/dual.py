@@ -6,7 +6,7 @@ eps component of a product obeys the Leibniz rule.
 
 ``DualRecord`` is the one shape of the package's K-long dual sequences
 (moments, free cumulants, t-coefficients): K and two complex arrays, body
-and eps, with one length check and one JSON encoding.
+and eps, with one order and length check and one JSON encoding.
 """
 
 from __future__ import annotations
@@ -98,6 +98,8 @@ class DualRecord:
     K: int
 
     def __post_init__(self) -> None:
+        if self.K < 1:
+            raise InvalidInputError("order K must be >= 1")
         body, eps = self.ARRAYS
         b = np.asarray(getattr(self, body), dtype=complex)
         e = np.asarray(getattr(self, eps), dtype=complex)

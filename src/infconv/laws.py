@@ -61,19 +61,10 @@ class InfLaw(DualRecord):
     m: np.ndarray
     m_prime: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.K < 1:
-            raise InvalidInputError("law order K must be >= 1")
-        super().__post_init__()
-
     @staticmethod
-    def from_moments(moments, K: int | None = None) -> "InfLaw":
+    def from_moments(moments) -> "InfLaw":
         vals = [DualScalar.of(v) for v in moments]
-        if K is None:
-            K = len(vals)
-        if len(vals) < K:
-            raise InvalidInputError("not enough moments for requested K")
-        return InfLaw(K, [v.body for v in vals[:K]], [v.eps for v in vals[:K]])
+        return InfLaw(len(vals), [v.body for v in vals], [v.eps for v in vals])
 
     @staticmethod
     def point_mass(value, K: int = DEFAULT_ORDER) -> "InfLaw":

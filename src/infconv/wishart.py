@@ -213,22 +213,11 @@ def trace_powers(X: np.ndarray, k_max: int) -> list:
 
 
 def _product_trace_powers(X1: np.ndarray, X2: np.ndarray, k_max: int) -> list:
-    N = X1.shape[0]
-    out = [np.sum(X1 * X2.T).real / N]
-    if k_max >= 2:
-        P = X1 @ X2
-        out.append(np.sum(P * P.T).real / N)
-    if k_max >= 3:
-        P2 = P @ P
-        out.append(np.sum(P2 * P.T).real / N)
-    if k_max >= 4:
-        out.append(np.sum(P2 * P2.T).real / N)
-    if k_max >= 5:
-        P3 = P2 @ P
-        out.append(np.sum(P3 * P2.T).real / N)
-    if k_max >= 6:
-        out.append(np.sum(P3 * P3.T).real / N)
-    return out[:k_max]
+    """Normalized traces of (X1 X2)^1..(X1 X2)^k_max, from trace_powers.
+
+    The name stays because perfbench/tracing.py wraps it.
+    """
+    return trace_powers(X1 @ X2, k_max)
 
 
 def _lane_sizes(trials: int) -> list:

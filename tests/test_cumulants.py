@@ -1,6 +1,8 @@
 """Free cumulants, t-coefficients, and the routes between them."""
 
+import functools
 import itertools
+import operator
 from collections import Counter
 
 import numpy as np
@@ -40,6 +42,7 @@ from infconv.cumulants import (
     _mixed_plan,
     _nc_types,
     _ncl_types,
+    _product_rule,
     _size_key,
 )
 
@@ -406,6 +409,22 @@ def test_grouped_interval_route_matches_ungrouped_sum():
 
 # -- linked-partition summands -----------------------------------------------------
 
+@pytest.mark.parametrize("length", range(9))
+def test_product_rule_matches_dual_product(length):
+    rng = np.random.default_rng(40 + length)
+    for zeros in range(min(length, 2) + 1):
+        body = list(rng.uniform(-1, 1, length) + 1j * rng.uniform(-1, 1, length))
+        eps = list(rng.uniform(-1, 1, length) + 1j * rng.uniform(-1, 1, length))
+        for i in rng.choice(length, zeros, replace=False):
+            body[i] = 0.0
+        want = functools.reduce(operator.mul, map(DualScalar, body, eps), DualScalar(1.0))
+        got = _product_rule(body, eps)
+        assert abs(got[0] - want.body) <= 1e-13
+        assert abs(got[1] - want.eps) <= 1e-13
+    if length == 0:
+        assert _product_rule([], []) == (1.0, 0.0)
+
+
 def test_t_pi_eps_part_matches_literal_product_rule():
     rng = np.random.default_rng(26)
     vals = {}
@@ -525,6 +544,5 @@ def test_dual_record_shape_and_json_keys(record, body, eps):
     rec = record(3, full, [0.0, 0.5j, 1.0])
     assert list(rec.to_json_obj()) == ["K", body, eps]
     assert rec.to_json_obj()[eps] == [0.0, [0.0, 0.5], 1.0]
-    if record is InfLaw:
-        with pytest.raises(InvalidInputError):
-            InfLaw(0, [], [])
+    with pytest.raises(InvalidInputError):
+        record(0, [], [])
