@@ -31,8 +31,6 @@ from .errors import (
 )
 from .laws import InfLaw, TransformKind
 from .partitions import (
-    MAX_NC_N,
-    MAX_NCL_N,
     SetPartition,
     enumerate_nc,
     enumerate_ncl,

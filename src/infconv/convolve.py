@@ -134,14 +134,9 @@ def boolean_mixed_moments(lawX: InfLaw, lawY: InfLaw) -> MomentFn:
 
 
 def monotone_word_moment(
-    word: tuple,
-    lawLow: InfLaw,
-    lawHigh: InfLaw,
-    low: str = "a",
-    high: str = "y",
-    pick=None,
+    word: tuple, lawLow: InfLaw, lawHigh: InfLaw, pick=None
 ) -> DualScalar:
-    """Reduce a word over {low, high} by the monotone peel-out rule.
+    """Reduce a word over {"a" (lower), "y" (higher)} by the monotone peel-out rule.
 
     Any maximal run of the higher letter, flanked by lower letters or the
     word boundary, is replaced by its dual moment; the remaining lower
@@ -155,9 +150,9 @@ def monotone_word_moment(
         runs = []
         i = 0
         while i < len(letters):
-            if letters[i] == high:
+            if letters[i] == "y":
                 j = i
-                while j < len(letters) and letters[j] == high:
+                while j < len(letters) and letters[j] == "y":
                     j += 1
                 runs.append((i, j))
                 i = j
@@ -173,7 +168,7 @@ def monotone_word_moment(
         acc = acc * lawHigh.dual_moment(r)
         del letters[start:end]
     p = len(letters)
-    if any(ch != low for ch in letters):
+    if any(ch != "a" for ch in letters):
         raise InvalidInputError("word contains letters beyond the two-letter alphabet")
     if p > lawLow.K:
         raise MathDomainError(f"lower law holds only {lawLow.K} moments")

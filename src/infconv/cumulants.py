@@ -49,6 +49,8 @@ from .dual import DualRecord, DualScalar
 from .errors import InvalidInputError, MathDomainError, SizeLimitError
 from .laws import InfLaw, t_transform
 from .partitions import (
+    MAX_NC_N,
+    MAX_NCL_N,
     LinkedPartition,
     SetPartition,
     enumerate_nc,
@@ -62,8 +64,8 @@ MomentFn = Callable[[Word], DualScalar]
 TFn = Callable[[Word], DualScalar]
 # (sorted block sizes, number of partitions)
 TypeCounts = tuple[tuple[tuple[int, ...], int], ...]
-# (sorted block sizes, representative partition, number of partitions)
-TypeTable = tuple[tuple[tuple[int, ...], LinkedPartition, int], ...]
+# (sorted block sizes, t-indices of one partition's factors, number of partitions)
+TypeTable = tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
 
 
 # Literal NC(n) and NCL(n) lists.  Only _mixed_plan reads _ncl (mixed words
@@ -185,8 +187,8 @@ def inf_cumulants_direct(law: InfLaw) -> np.ndarray:
     cumulants_from_moments(law).kappa_prime.
     """
     K = law.K
-    if K > 12:
-        raise SizeLimitError("direct route sums NC(n) block types up to K = 12")
+    if K > MAX_NC_N:
+        raise SizeLimitError(f"direct route sums NC(n) block types up to K = {MAX_NC_N}")
     kb = np.zeros(K, dtype=complex)
     kp = np.zeros(K, dtype=complex)
     for n in range(1, K + 1):
@@ -230,13 +232,14 @@ def _size_key(pi: LinkedPartition) -> tuple[int, ...]:
 
 
 def _group_by_type(parts) -> TypeTable:
-    reps: dict[tuple[int, ...], LinkedPartition] = {}
+    factors: dict[tuple[int, ...], tuple[int, ...]] = {}
     counts: dict[tuple[int, ...], int] = {}
     for pi in parts:
         key = _size_key(pi)
-        reps.setdefault(key, pi)
+        if key not in factors:
+            factors[key] = tuple(len(pos) - 1 for pos in _factor_positions(pi))
         counts[key] = counts.get(key, 0) + 1
-    return tuple((key, reps[key], counts[key]) for key in sorted(reps))
+    return tuple((key, factors[key], counts[key]) for key in sorted(factors))
 
 
 @lru_cache(maxsize=32)
@@ -266,15 +269,15 @@ def _integer_partitions(n: int, smallest: int = 1):
 
 @lru_cache(maxsize=16)
 def _linked_full_types(n: int) -> TypeTable:
-    """(sorted block sizes, representative, count) over the linked class of {1..n}.
+    """(sorted block sizes, factor t-indices, count) over the linked class of {1..n}.
 
     Generated as linked partitions (linked_class of the full block, which
     scans only the connected ones), never derived from the NC(n - 1) types
     by shifting sizes: the counts agree, but that would make the linked
     route of kappa_from_t the interval route under another name.  The
-    representative is the first partition of its type in lexicographic
-    order, a real partition whose factors (_factor_positions) the linked
-    route multiplies.
+    factor t-indices are read once off a real partition, the first of its
+    type in lexicographic order (_factor_positions), in the order the
+    linked route multiplies them.
     """
     return _group_by_type(linked_class(SetPartition.of(n, [range(1, n + 1)])))
 
@@ -311,12 +314,10 @@ def t_coeffs_from_moments(law: InfLaw) -> TCoeffVector:
     literally and serves as its oracle.
     """
     K = law.K
-    if K > 10:
-        raise SizeLimitError("the linked-partition oracle confirms t-vectors up to K = 10")
+    if K > MAX_NCL_N:
+        raise SizeLimitError(f"the linked-partition oracle confirms t-vectors up to K = {MAX_NCL_N}")
     if law.m[0] == 0:
         raise MathDomainError("t-coefficients need an invertible first moment")
-    if K == 1:
-        return TCoeffVector(1, [law.m[0]], [law.m_prime[0]])
     T = t_transform(law)
     return TCoeffVector(K, T.body[:K], T.eps[:K])
 
@@ -328,8 +329,8 @@ def moments_from_t(tvec: TCoeffVector) -> InfLaw:
     the block sizes.
     """
     K = tvec.K
-    if K > 10:
-        raise SizeLimitError("linked-partition sums cover n <= 10")
+    if K > MAX_NCL_N:
+        raise SizeLimitError(f"linked-partition sums cover n <= {MAX_NCL_N}")
     t, tp = tvec.t.tolist(), tvec.t_prime.tolist()
     mb = np.zeros(K, dtype=complex)
     me = np.zeros(K, dtype=complex)
@@ -458,8 +459,8 @@ def mixed_vanishing_check(moment_fn: MomentFn, max_len: int) -> MixedVanishingRe
     For infinitesimally free letters both maxima vanish; a Boolean pair is
     the standard negative control.
     """
-    if max_len > 10:
-        raise SizeLimitError("mixed words enumerate NCL(n); max_len <= 10")
+    if max_len > MAX_NCL_N:
+        raise SizeLimitError(f"mixed words enumerate NCL(n); max_len <= {MAX_NCL_N}")
     t = make_mixed_t(moment_fn)
     max_body = 0.0
     max_eps = 0.0
@@ -503,14 +504,13 @@ def kappa_from_t(tvec: TCoeffVector, route: str = "linked") -> CumulantVector:
 
 def _kappa_from_t_linked(tvec: TCoeffVector) -> CumulantVector:
     K = tvec.K
-    if K > 10:
-        raise SizeLimitError("linked route sums linked-partition types up to K = 10")
+    if K > MAX_NCL_N:
+        raise SizeLimitError(f"linked route sums linked-partition types up to K = {MAX_NCL_N}")
     t, tp = tvec.t.tolist(), tvec.t_prime.tolist()
     kb = np.zeros(K, dtype=complex)
     kp = np.zeros(K, dtype=complex)
     for n in range(1, K + 1):
-        for _, rep, count in _linked_full_types(n):
-            idx = [len(pos) - 1 for pos in _factor_positions(rep)]
+        for _, idx, count in _linked_full_types(n):
             b, e = _product_rule([t[i] for i in idx], [tp[i] for i in idx])
             kb[n - 1] += count * b
             kp[n - 1] += count * e
@@ -519,8 +519,8 @@ def _kappa_from_t_linked(tvec: TCoeffVector) -> CumulantVector:
 
 def _kappa_from_t_interval(tvec: TCoeffVector) -> CumulantVector:
     K = tvec.K
-    if K - 1 > 12:
-        raise SizeLimitError("interval route sums NC(n-1) block types up to K = 13")
+    if K - 1 > MAX_NC_N:
+        raise SizeLimitError(f"interval route sums NC(n-1) block types up to K = {MAX_NC_N + 1}")
     t, tp = tvec.t.tolist(), tvec.t_prime.tolist()
     kb = np.zeros(K, dtype=complex)
     kp = np.zeros(K, dtype=complex)

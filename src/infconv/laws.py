@@ -6,17 +6,19 @@ truncated formal power series in one variable with dual coefficients.
 
 With psi(z) = sum m~_n z^n the transforms are
 
-    eta_tilde(z) = psi / (z (1 + psi))      (constant term m~_1)
     eta_plain(z) = psi / (1 + psi)
+    eta_tilde(z) = eta_plain(z) / z         (constant term m~_1)
     kappa(z)     = psi / (1 + psi)          (via the theta form, same scalar value)
     rho(z)       = psi / (1 + psi)          (via the varrho form)
     S(w)         = w^{-1} (1 + w) psi^{<-1>}(w)
     T(w)         = 1 / S(w)
 
-S and T need an invertible first moment.  ``d_transform`` returns the
-infinitesimal part computed from explicit body-level formulas; it must agree
-with the eps part of the dual-coefficient transform, which the tests treat
-as the central identity of this module.
+Every kind is defined for every K >= 1; eta_tilde, S and T have order K - 1
+(at K = 1, S = 1/m~_1 and T = m~_1).  S and T need an invertible first
+moment.  ``d_transform`` returns the infinitesimal part computed from
+explicit body-level formulas; it must agree with the eps part of the
+dual-coefficient transform, which the tests treat as the central identity
+of this module.
 """
 
 from __future__ import annotations
@@ -158,16 +160,15 @@ def _one_plus(f: DualSeries) -> DualSeries:
     return f + DualSeries.constant(1.0, f.order)
 
 
-def eta_tilde(law: InfLaw) -> DualSeries:
-    """psi / (z (1 + psi)); constant term m~_1, order K-1."""
-    p = psi(law)
-    return p.shift_down() * _one_plus(p).inv()
-
-
 def eta_plain(law: InfLaw) -> DualSeries:
     """psi / (1 + psi); vanishes at 0, order K."""
     p = psi(law)
     return p * _one_plus(p).inv()
+
+
+def eta_tilde(law: InfLaw) -> DualSeries:
+    """eta_plain / z; constant term m~_1, order K-1."""
+    return eta_plain(law).shift_down()
 
 
 # kappa = theta / (1 + theta) and rho = varrho (1 + varrho)^{-1}; theta and
@@ -184,8 +185,6 @@ def _require_mean(law: InfLaw) -> None:
 def s_transform(law: InfLaw) -> DualSeries:
     """S(w) = w^{-1} (1 + w) psi^{<-1>}(w), order K-1."""
     _require_mean(law)
-    if law.K < 2:
-        raise MathDomainError("S transform needs K >= 2")
     pinv = psi(law).reversion()
     return pinv.shift_down() * _one_plus(DualSeries.identity(pinv.order - 1))
 
@@ -213,34 +212,20 @@ def transform(kind: TransformKind, law: InfLaw) -> DualSeries:
 # -- infinitesimal transforms (explicit body-level formulas) -----------------
 
 
-def _psi_body(law: InfLaw) -> DualSeries:
-    s = DualSeries(law.K)
-    s.body[1:] = law.m
-    return s
-
-
-def _d_psi(law: InfLaw) -> DualSeries:
-    s = DualSeries(law.K)
-    s.body[1:] = law.m_prime
-    return s
-
-
 def d_transform(kind: TransformKind, law: InfLaw) -> DualSeries:
     """Infinitesimal transform from explicit formulas on body data + m'_n.
 
     Returned as a plain (eps-free) series.  Must coincide with the eps part
     of transform(kind, law) on their shared order.
     """
-    pb = _psi_body(law)
-    dp = _d_psi(law)
+    pb, dp = psi(law).eps_split()
     if kind is TransformKind.PSI:
         return dp
     if kind in (TransformKind.ETA_PLAIN, TransformKind.KAPPA, TransformKind.RHO):
         inv1p = _one_plus(pb).inv()
         return dp * inv1p * inv1p
     if kind is TransformKind.ETA_TILDE:
-        inv1p = _one_plus(pb).inv()
-        return dp.shift_down() * inv1p * inv1p
+        return d_transform(TransformKind.ETA_PLAIN, law).shift_down()
     if kind is TransformKind.S:
         return _d_s(law, pb, dp)
     if kind is TransformKind.T:
@@ -251,16 +236,16 @@ def d_transform(kind: TransformKind, law: InfLaw) -> DualSeries:
 
 
 def _d_s(law: InfLaw, pb: DualSeries, dp: DualSeries) -> DualSeries:
-    # dS(w) = -w^{-1}(1+w) (psi^{<-1>})'(w) dpsi(psi^{<-1>}(w)).
+    # dS(w) = -w^{-1}(1+w) g'(w) dpsi(g(w)) with g = psi^{<-1>}, written as
+    # -g'(w) (g(w)/w) (dpsi/z)(g(w)) (1+w): g and dpsi both vanish at 0, so
+    # dividing each by its variable keeps order K-1, the order of S.
     # The w^{-1}(1+w) prefactor makes this the corner of the triangular
     # S-block at vanishing corner argument; without it the formula would
     # describe the infinitesimal part of psi^{<-1>} instead of S.
     _require_mean(law)
-    if law.K < 2:
-        raise MathDomainError("S transform needs K >= 2")
-    pinv = pb.reversion()
-    core = pinv.derivative() * dp.compose(pinv)
-    return -1.0 * core.shift_down() * _one_plus(DualSeries.identity(core.order - 1))
+    g = pb.reversion()
+    core = g.derivative() * g.shift_down() * dp.shift_down().compose(g)
+    return -1.0 * core * _one_plus(DualSeries.identity(core.order))
 
 
 # -- inverse direction -------------------------------------------------------
@@ -281,9 +266,7 @@ def law_from_transform(kind: TransformKind, f: DualSeries) -> InfLaw:
         one_minus = DualSeries.constant(1.0, f.order) - f
         return _law_from_psi(f * one_minus.inv())
     if kind is TransformKind.ETA_TILDE:
-        g = f.shift_up()
-        one_minus = DualSeries.constant(1.0, g.order) - g
-        return _law_from_psi(g * one_minus.inv())
+        return law_from_transform(TransformKind.ETA_PLAIN, f.shift_up())
     if kind is TransformKind.S:
         return _law_from_s(f)
     if kind is TransformKind.T:

@@ -235,6 +235,21 @@ def test_convolve_with_verify_reports_pass(capsys, tmp_path):
     assert rep["deviation_body"] < 1e-8
 
 
+def test_convolve_free_single_moment_laws(capsys, tmp_path):
+    # at K = 1 the T-transform is the mean, so the product law is m_x m_y
+    px, py = tmp_path / "x.json", tmp_path / "y.json"
+    px.write_text(InfLaw(1, [1.5], [0.25]).to_json())
+    py.write_text(InfLaw(1, [2.0], [-0.5]).to_json())
+    code, out, err = run(capsys, "convolve", "--kind", "free", "--law-x", str(px),
+                         "--law-y", str(py), "--verify")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "free product law (K = 1)",
+        "m[1] = 3   m'[1] = -0.25",
+        "verify: pass (body 0.000e+00, eps 0.000e+00, tol 1e-08)",
+    ]
+
+
 def test_convolve_verify_clamps_to_oracle_limit(capsys, tmp_path):
     path = tmp_path / "w.json"
     path.write_text(InfLaw.point_mass(1.0, K=10).to_json())

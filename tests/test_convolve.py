@@ -5,6 +5,8 @@ the transform route multiplies or composes dual series.  They must agree,
 and deliberately mismatched pairings must not.
 """
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from infconv import (
     MathDomainError,
     ProductKind,
     SizeLimitError,
+    constant_cumulant_law,
     convolve_by_transform,
     free_mixed_moments,
     monotone_word_moment,
@@ -150,6 +153,39 @@ def test_product_of_two_unit_rate_poissons_is_fuss_catalan():
     assert np.allclose(prod.m, FUSS_CATALAN, atol=1e-9)
     via_t = convolve_by_transform(ProductKind.FREE, fp, fp, 6)
     assert np.allclose(via_t.m, FUSS_CATALAN, atol=1e-9)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("c_prime", [0.0, 0.5, 1.0, 2.0])
+def test_m_fold_free_product_of_limit_laws(m, c_prime):
+    """Closed form of the m-fold free product of the c = 1 limit law.
+
+    The limit law has T = 1 + w + eps c', so the product has
+    T = (1 + w)^m + eps m c' (1 + w)^(m-1) and psi^<-1>(w) = h + eps h1 with
+    h = w (1 + w)^-(m+1) and h1 = -m c' w (1 + w)^-(m+2).  Lagrange inversion
+    of psi = z (1 + psi)^(m+1) gives the Fuss-Catalan body
+    C((m+1)k, k)/(mk+1) (free Bessel laws); the eps part
+    psi1 = -h1(psi) psi' = m c' (d/dz) G(psi) with G' = h1 / (-m c') inverts
+    the same way to m c' C((m+1)k - 1, k - 1).
+    """
+    K = 10
+    limit = constant_cumulant_law(1.0, c_prime, K=K)
+    prod = limit
+    for _ in range(m - 1):
+        prod = convolve_by_transform(ProductKind.FREE, prod, limit)
+    body = [comb((m + 1) * k, k) / (m * k + 1) for k in range(1, K + 1)]
+    eps = [m * c_prime * comb((m + 1) * k - 1, k - 1) for k in range(1, K + 1)]
+    assert np.allclose(prod.m, body, rtol=1e-12, atol=0)
+    assert np.allclose(prod.m_prime, eps, rtol=1e-12, atol=0)
+
+
+def test_free_transform_route_at_a_single_moment():
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        lx, ly = _rand_complex_law(rng, 1), _rand_complex_law(rng, 1)
+        route = convolve_by_transform(ProductKind.FREE, lx, ly)
+        assert route.K == 1
+        assert max(route.max_abs_diff(oracle_free_product(lx, ly, 1))) < 1e-14
 
 
 def test_free_product_with_unit_point_mass_is_identity():

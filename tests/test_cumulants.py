@@ -235,6 +235,12 @@ def test_kappa_from_t_unknown_route():
 
 # -- block-type tables --------------------------------------------------------------
 
+def _t_indices(pi):
+    # t_pi's factors in multiplication order: t_{|V|-1} per block, then t_0
+    # per non-minimal element
+    return tuple(len(b) - 1 for b in pi.blocks) + (0,) * len(non_minimal_elements(pi))
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_ncl_type_table_covers_ncl(n):
     table = _ncl_types(n)
@@ -248,7 +254,10 @@ def test_full_block_type_table_covers_linked_class(n):
     table = _linked_full_types(n)
     full = SetPartition.of(n, [list(range(1, n + 1))])
     assert sum(count for _, _, count in table) == len(linked_class(full))
-    assert all(_size_key(rep) == key for key, rep, _ in table)
+    first = {}
+    for pi in linked_class(full):
+        first.setdefault(_size_key(pi), pi)
+    assert all(idx == _t_indices(first[key]) for key, idx, _ in table)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -294,11 +303,11 @@ def test_full_block_type_table_matches_connected_ncl(n):
     assert {pi.blocks for pi in linked_class(full)} == {pi.blocks for pi in connected}
     table = _linked_full_types(n)
     assert {key: count for key, _, count in table} == Counter(_size_key(pi) for pi in connected)
-    # each representative is the first partition of its type, as enumerated
+    # each row's factors are those of the first partition of its type, as enumerated
     first = {}
     for pi in connected:
         first.setdefault(_size_key(pi), pi)
-    assert all(rep == first[key] for key, rep, _ in table)
+    assert all(idx == _t_indices(first[key]) for key, idx, _ in table)
 
 
 def _catalan_schroder(n):

@@ -173,6 +173,30 @@ def test_d_transform_matches_eps_part(kind):
     assert np.max(np.abs(full.eps[: m + 1] - d.body[: m + 1])) < 1e-10
 
 
+@pytest.mark.parametrize("kind", list(TransformKind))
+@pytest.mark.parametrize("K", range(1, 9))
+def test_d_transform_keeps_the_transform_order(kind, K):
+    rng = np.random.default_rng(100 + K)
+    law = rand_law(rng, K=K, lo=1.0, hi=1.0) \
+        if kind in (TransformKind.S, TransformKind.T) else rand_law(rng, K=K)
+    full = transform(kind, law)
+    d = d_transform(kind, law)
+    assert d.order == full.order
+    assert np.max(np.abs(full.eps - d.body)) < 1e-10
+
+
+@pytest.mark.parametrize("kind", [TransformKind.S, TransformKind.T])
+def test_s_and_t_of_a_single_moment(kind):
+    # first-order S-transform: S = 1/m~_1 and T = m~_1
+    law = InfLaw.from_moments([DualScalar(1.5 - 0.5j, -0.25 + 1j)])
+    f = transform(kind, law)
+    mean = law.dual_moment(1)
+    assert f.order == 0
+    assert f.coeff(0).almost_equal(mean if kind is TransformKind.T else mean.inv(), 1e-15)
+    back = law_from_transform(kind, f)
+    assert back.K == 1 and max(law.max_abs_diff(back)) < 1e-15
+
+
 def test_d_transform_is_plain():
     law = free_poisson_one(6)
     d = d_transform(TransformKind.ETA_PLAIN, law)
