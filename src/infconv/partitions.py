@@ -11,11 +11,12 @@ one of the two blocks, and that block must have at least two elements.  In
 particular ``{{1,2},{2}}`` is not admitted, and element multiplicity never
 exceeds two.
 
-Enumeration is one stack scan (_scan) that emits canonical blocks at its
-leaves, so every enumerated partition is canonicalised exactly once.  The
-same scan restricted to a single fresh block yields the connected linked
-partitions of {1..n}; linked_class(sigma) is built from those, block by
-block, without enumerating NCL(n).
+Enumeration is one recursive stack scan (_scan).  Each branch carries its
+own tuples of open and closed blocks, so nothing is undone on return, and
+the leaves emit canonical blocks, so every enumerated partition is
+canonicalised exactly once.  The same scan restricted to a single fresh
+block yields the connected linked partitions of {1..n}; linked_class(sigma)
+is built from those, block by block, without enumerating NCL(n).
 """
 
 from __future__ import annotations
@@ -84,10 +85,9 @@ class _Partition:
         object.__setattr__(self, "blocks", _canonical_blocks(self.blocks))
 
     @classmethod
-    def of(cls, n: int, blocks: Iterable[Iterable[int]], validate: bool = True):
+    def of(cls, n: int, blocks: Iterable[Iterable[int]]):
         p = cls(n, blocks)
-        if validate:
-            p.validate()
+        p.validate()
         return p
 
     @classmethod
@@ -198,14 +198,16 @@ def connected_classes(p: LinkedPartition) -> SetPartition:
     classes: dict[int, set[int]] = {}
     for bi, b in enumerate(p.blocks):
         classes.setdefault(find(bi), set()).update(b)
-    return SetPartition.of(p.n, classes.values(), validate=False)
+    return SetPartition(p.n, classes.values())
 
 
 def _scan(n: int, allow_links: bool, connected: bool = False) -> list[Blocks]:
     """Left-to-right stack enumeration, in lexicographic block order.
 
-    The stack holds open blocks, innermost on top.  At each position i we
-    either open a fresh block, or join an open block at some depth (closing
+    The stack holds open blocks as (block, opened_by_link) pairs, innermost
+    last; closed holds the finished blocks.  Each branch builds its own
+    tuples, so nothing is undone on return.  At each position i we either
+    open a fresh block, or join an open block at some depth (closing
     everything above it), or, in the linked case, do both at once: join a
     block as a non-minimal member and open a new block with minimum i.  A
     block opened through such a link must collect a second element before it
@@ -218,63 +220,33 @@ def _scan(n: int, allow_links: bool, connected: bool = False) -> list[Blocks]:
     the single block {1..n}.
     """
     out: list[Blocks] = []
-    stack: list[list[int]] = []
-    linked: list[bool] = []
-    finished: list[list[int]] = []
 
-    def close_above(depth: int) -> int | None:
-        """Pop blocks above depth; return count popped, or None if invalid."""
-        popped = 0
-        for blk, ln in zip(stack[depth:], linked[depth:]):
-            if ln and len(blk) < 2:
-                return None
-        popped = len(stack) - depth
-        for _ in range(popped):
-            finished.append(stack.pop())
-            linked.pop()
-        return popped
+    def closable(blocks) -> bool:
+        return all(len(b) > 1 or not by_link for b, by_link in blocks)
 
-    def reopen(blocks_popped: int) -> None:
-        for _ in range(blocks_popped):
-            blk = finished.pop()
-            stack.append(blk)
-            linked.append(False)  # placeholder, fixed by caller
-
-    def rec(i: int) -> None:
+    def rec(i: int, stack: tuple, closed: Blocks) -> None:
         if i > n:
-            if any(ln and len(blk) < 2 for blk, ln in zip(stack, linked)):
-                return
-            # blocks fill in increasing order and minima are distinct, so
-            # sorting the block tuples gives the canonical form
-            out.append(tuple(sorted(map(tuple, finished + stack))))
+            if closable(stack):
+                # blocks fill in increasing order and minima are distinct, so
+                # sorting the block tuples gives the canonical form
+                out.append(tuple(sorted(closed + tuple(b for b, _ in stack))))
             return
         # (a) open a fresh block holding i
         if i == 1 or not connected:
-            stack.append([i])
-            linked.append(False)
-            rec(i + 1)
-            stack.pop()
-            linked.pop()
+            rec(i + 1, stack + (((i,), False),), closed)
         # (b) join the block at depth d, closing blocks above it
         #     (c) same, additionally opening a linked block with minimum i
-        for d in range(len(stack), 0, -1):
-            saved_linked = linked[d:]
-            popped = close_above(d)
-            if popped is None:
-                break  # smaller d pops a superset, also invalid
-            stack[d - 1].append(i)
-            rec(i + 1)
+        for d in range(len(stack) - 1, -1, -1):
+            if not closable(stack[d + 1:]):
+                break  # smaller d closes a superset, also invalid
+            block, by_link = stack[d]
+            joined = stack[:d] + ((block + (i,), by_link),)
+            shut = closed + tuple(b for b, _ in stack[d + 1:])
+            rec(i + 1, joined, shut)
             if allow_links:
-                stack.append([i])
-                linked.append(True)
-                rec(i + 1)
-                stack.pop()
-                linked.pop()
-            stack[d - 1].pop()
-            reopen(popped)
-            linked[d:] = saved_linked
+                rec(i + 1, joined + (((i,), True),), shut)
 
-    rec(1)
+    rec(1, (), ())
     return sorted(out)
 
 

@@ -40,16 +40,6 @@ from .series import DualSeries
 MAX_CENTERED_LEN = 12
 
 
-def _as_plain(s) -> DualSeries:
-    if isinstance(s, DualSeries):
-        out = s
-    else:
-        out = DualSeries.from_coeffs(list(s))
-    if np.any(out.eps != 0):
-        raise InvalidInputError("matrix entries must be plain (eps-free) series")
-    return out
-
-
 @dataclass(frozen=True)
 class UT2:
     """[[diag, corner], [0, diag]] over plain truncated power series.
@@ -72,14 +62,6 @@ class UT2:
             raise InvalidInputError("UT2 entries must be plain (eps-free) series")
 
     @staticmethod
-    def of(diag, corner) -> "UT2":
-        d = _as_plain(diag)
-        c = _as_plain(corner)
-        m = min(d.order, c.order)
-        return UT2(d.truncated(m) if d.order > m else d,
-                   c.truncated(m) if c.order > m else c)
-
-    @staticmethod
     def from_dual_series(f: DualSeries) -> "UT2":
         body, eps = f.eps_split()
         return UT2(body, eps)
@@ -97,9 +79,10 @@ class UT2:
         return max(dd[0], dd[1], cc[0], cc[1])
 
 
-def _vanishing_arg(b, c) -> UT2:
-    B = UT2.of(b, c)
-    if B.diag.body[0] != 0 or B.corner.body[0] != 0:
+def _vanishing_arg(b: DualSeries, c: DualSeries) -> DualSeries:
+    """B = [[b, c], [0, b]] as the dual series b + eps c, at the common order."""
+    B = DualSeries.recombine(b, c)
+    if B.body[0] != 0 or B.eps[0] != 0:
         raise InvalidInputError("matrix argument must vanish at 0 in both entries")
     return B
 
@@ -116,20 +99,19 @@ def block_transform(kind: TransformKind, law: InfLaw, b, c) -> UT2:
     """
     if kind is TransformKind.ETA_TILDE:
         raise InvalidInputError(f"no matrix form for transform kind {kind}")
-    B = _vanishing_arg(b, c)
-    return UT2.from_dual_series(transform(kind, law).compose(B.to_dual_series()))
+    return UT2.from_dual_series(transform(kind, law).compose(_vanishing_arg(b, c)))
 
 
 def block_transform_formula(kind: TransformKind, law: InfLaw, b, c) -> UT2:
     """Diagonal f(b), corner f'(b) c + (df)(b) from scalar series calculus."""
     if kind is TransformKind.ETA_TILDE:
         raise InvalidInputError(f"no matrix form for transform kind {kind}")
-    B = _vanishing_arg(b, c)
+    b, c = _vanishing_arg(b, c).eps_split()
     body, _ = transform(kind, law).eps_split()
     dform = d_transform(kind, law)
-    diag = body.compose(B.diag)
-    corner = body.derivative().compose(B.diag) * B.corner + dform.compose(B.diag)
-    return UT2.of(diag, corner)
+    diag = body.compose(b)
+    corner = body.derivative().compose(b) * c + dform.compose(b)
+    return UT2.from_dual_series(DualSeries.recombine(diag, corner))
 
 
 # -- centered alternating words ------------------------------------------------
