@@ -211,7 +211,7 @@ class DualSeries:
     @staticmethod
     def recombine(body: "DualSeries", eps: "DualSeries") -> "DualSeries":
         m = min(body.order, eps.order)
-        if np.any(body.eps[: m + 1] != 0) or np.any(eps.eps[: m + 1] != 0):
+        if np.any(body.eps != 0) or np.any(eps.eps != 0):
             raise InvalidInputError("recombine expects plain (eps-free) series")
         return DualSeries(m, body.body[: m + 1], eps.body[: m + 1])
 

@@ -107,14 +107,19 @@ def test_block_transform_needs_vanishing_argument():
 
 @pytest.mark.parametrize("route", [block_transform, block_transform_formula])
 def test_block_argument_must_be_plain(route):
+    # an eps part is rejected also where it lies beyond the common order
     law = InfLaw.point_mass(1.0, K=4)
     plain = DualSeries.identity(4)
-    dual = DualSeries.from_coeffs([DualScalar(0.0), DualScalar(1.0, 0.5)])
+    near = DualSeries.from_coeffs([DualScalar(0.0), DualScalar(1.0, 0.5)])
+    far = DualSeries.from_coeffs(
+        [DualScalar(0.0), DualScalar(1.0)] + [DualScalar(0.0)] * 6 + [DualScalar(0.0, 0.5)]
+    )
     for kind in BLOCK_KINDS:
-        with pytest.raises(InvalidInputError):
-            route(kind, law, dual, plain)
-        with pytest.raises(InvalidInputError):
-            route(kind, law, plain, dual)
+        for dual in (near, far):
+            with pytest.raises(InvalidInputError):
+                route(kind, law, dual, plain)
+            with pytest.raises(InvalidInputError):
+                route(kind, law, plain, dual)
 
 
 def test_eta_tilde_has_no_matrix_form():
