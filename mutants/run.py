@@ -100,6 +100,43 @@ CATALOGUE = (
         "            )\n",
         ("tests/test_cumulants.py",),
     ),
+    Mutation(
+        "type-sum-drops-count", "src/infconv/cumulants.py",
+        "        sb += count * b\n        se += count * e\n",
+        "        sb += b\n        se += e\n",
+        ("tests/test_cumulants.py",),
+    ),
+    Mutation(
+        "moments-from-t-t0-count", "src/infconv/cumulants.py",
+        "[s - 1 for s in sizes] + [0] * (n - len(sizes))",
+        "[s - 1 for s in sizes] + [0] * (n - len(sizes) - 1)",
+        ("tests/test_cumulants.py",),
+    ),
+    Mutation(
+        "interval-indices-shifted", "src/infconv/cumulants.py",
+        "list(sizes) + [0] * (n - len(sizes))",
+        "[s - 1 for s in sizes] + [0] * (n - len(sizes))",
+        ("tests/test_cumulants.py",),
+    ),
+    Mutation(
+        "interval-reads-nc-n", "src/infconv/cumulants.py",
+        "_nc_types(n - 1)",
+        "_nc_types(n)",
+        ("tests/test_cumulants.py",),
+    ),
+    Mutation(
+        "direct-keeps-single-block", "src/infconv/cumulants.py",
+        " for sizes, count in _nc_types(n) if len(sizes) > 1)",
+        " for sizes, count in _nc_types(n))",
+        ("tests/test_cumulants.py",),
+    ),
+    Mutation(
+        "nc-cache-deleted", "src/infconv/cumulants.py",
+        "@lru_cache(maxsize=32)\ndef _nc(n: int) -> tuple[SetPartition, ...]:\n"
+        "    return tuple(enumerate_nc(n))\n",
+        "",
+        ("tests/test_benchmark_tracer.py",),
+    ),
     # -- convolve --
     Mutation(
         "boolean-oracle-limit", "src/infconv/convolve.py",

@@ -122,18 +122,9 @@ def _read_law(path: str) -> InfLaw:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InvalidInputError(f"cannot read law file: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"malformed law JSON: {exc}") from exc
-    try:
-        return InfLaw.from_json_obj(obj)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        if isinstance(exc, InfconvError):
-            raise
-        raise InvalidInputError(f"bad law object: {exc}") from exc
+    return InfLaw.from_json(text)
 
 
 # -- partitions ----------------------------------------------------------------

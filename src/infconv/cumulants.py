@@ -17,7 +17,8 @@ T(z) = sum t_n z^n.
 Infinitesimal parts of partition sums: every oracle writes a summand as a
 product of dual factors, and _product_rule returns its body and its eps
 part (one factor primed at a time, from prefix and suffix products), on
-plain complex numbers.
+plain complex numbers.  _type_sum, the one place a grouped oracle is
+evaluated, sums those products over rows of (factor indices, type count).
 
 Routes for a single variable: t_coeffs_from_moments reads the coefficients
 off the T-series (production).  moments_from_t, kappa_from_t and
@@ -189,20 +190,15 @@ def inf_cumulants_direct(law: InfLaw) -> np.ndarray:
     K = law.K
     if K > MAX_NC_N:
         raise SizeLimitError(f"direct route sums NC(n) block types up to K = {MAX_NC_N}")
-    kb = np.zeros(K, dtype=complex)
-    kp = np.zeros(K, dtype=complex)
+    m, mp = law.m.tolist(), law.m_prime.tolist()
+    kb, kp = [], []
     for n in range(1, K + 1):
-        body = 0.0 + 0.0j
-        eps = 0.0 + 0.0j
-        for sizes, count in _nc_types(n):
-            if len(sizes) == 1:
-                continue
-            b, e = _product_rule([kb[s - 1] for s in sizes], [kp[s - 1] for s in sizes])
-            body += count * b
-            eps += count * e
-        kb[n - 1] = law.m[n - 1] - body
-        kp[n - 1] = law.m_prime[n - 1] - eps
-    return kp
+        # every type but the single block, whose kappa_n is being solved for
+        rows = (([s - 1 for s in sizes], count) for sizes, count in _nc_types(n) if len(sizes) > 1)
+        b, e = _type_sum(kb, kp, rows)
+        kb.append(m[n - 1] - b)
+        kp.append(mp[n - 1] - e)
+    return np.array(kp)
 
 
 def _product_rule(body: Sequence[complex], eps: Sequence[complex]) -> tuple[complex, complex]:
@@ -224,22 +220,25 @@ def _product_rule(body: Sequence[complex], eps: Sequence[complex]) -> tuple[comp
     return pre[nb], d
 
 
+def _type_sum(body: Sequence[complex], eps: Sequence[complex], rows) -> tuple[complex, complex]:
+    """Body and eps part of sum count * prod_{i in idx} (body_i + eps eps_i).
+
+    rows yields (idx, count): one block type's factor indices and the number
+    of partitions of that type.  Each product's eps part is _product_rule's.
+    """
+    sb = se = 0j
+    for idx, count in rows:
+        b, e = _product_rule([body[i] for i in idx], [eps[i] for i in idx])
+        sb += count * b
+        se += count * e
+    return sb, se
+
+
 # -- t-coefficients ----------------------------------------------------------
 
 
 def _size_key(pi: LinkedPartition) -> tuple[int, ...]:
     return tuple(sorted(len(b) for b in pi.blocks))
-
-
-def _group_by_type(parts) -> TypeTable:
-    factors: dict[tuple[int, ...], tuple[int, ...]] = {}
-    counts: dict[tuple[int, ...], int] = {}
-    for pi in parts:
-        key = _size_key(pi)
-        if key not in factors:
-            factors[key] = tuple(len(pos) - 1 for pos in _factor_positions(pi))
-        counts[key] = counts.get(key, 0) + 1
-    return tuple((key, factors[key], counts[key]) for key in sorted(factors))
 
 
 @lru_cache(maxsize=32)
@@ -279,7 +278,14 @@ def _linked_full_types(n: int) -> TypeTable:
     type in lexicographic order (_factor_positions), in the order the
     linked route multiplies them.
     """
-    return _group_by_type(linked_class(SetPartition.of(n, [range(1, n + 1)])))
+    factors: dict[tuple[int, ...], tuple[int, ...]] = {}
+    counts: Counter = Counter()
+    for pi in linked_class(SetPartition.of(n, [range(1, n + 1)])):
+        key = _size_key(pi)
+        if key not in factors:
+            factors[key] = tuple(len(pos) - 1 for pos in _factor_positions(pi))
+        counts[key] += 1
+    return tuple((key, factors[key], counts[key]) for key in sorted(factors))
 
 
 @lru_cache(maxsize=16)
@@ -332,16 +338,13 @@ def moments_from_t(tvec: TCoeffVector) -> InfLaw:
     if K > MAX_NCL_N:
         raise SizeLimitError(f"linked-partition sums cover n <= {MAX_NCL_N}")
     t, tp = tvec.t.tolist(), tvec.t_prime.tolist()
-    mb = np.zeros(K, dtype=complex)
-    me = np.zeros(K, dtype=complex)
+    sums = []
     for n in range(1, K + 1):
-        for sizes, count in _ncl_types(n):
-            # one t_{|V|-1} per block, one t_0 per non-minimal element
-            idx = [s - 1 for s in sizes] + [0] * (n - len(sizes))
-            b, e = _product_rule([t[i] for i in idx], [tp[i] for i in idx])
-            mb[n - 1] += count * b
-            me[n - 1] += count * e
-    return InfLaw(K, mb, me)
+        # one t_{|V|-1} per block, one t_0 per non-minimal element
+        rows = (([s - 1 for s in sizes] + [0] * (n - len(sizes)), count)
+                for sizes, count in _ncl_types(n))
+        sums.append(_type_sum(t, tp, rows))
+    return InfLaw(K, *zip(*sums))
 
 
 def t_pi_value(pi: LinkedPartition, word: Word, t_fn: TFn) -> DualScalar:
@@ -492,44 +495,27 @@ def kappa_from_t(tvec: TCoeffVector, route: str = "linked") -> CumulantVector:
     route="interval": the closed forms summing over NC(n-1), where each
     block V contributes t_{|V|} and the minimum carries a power of t_0;
     the summand depends only on the block sizes, so each block type of
-    NC(n-1) is evaluated once and weighted by its count.
+    NC(n-1) is evaluated once and weighted by its count.  kappa_1 comes
+    from NC(0): its one, empty, partition leaves the single factor t_0.
     Neither route uses the T-series or the moment power rows.
     """
+    K = tvec.K
     if route == "linked":
-        return _kappa_from_t_linked(tvec)
-    if route == "interval":
-        return _kappa_from_t_interval(tvec)
-    raise InvalidInputError(f"unknown route: {route!r}")
+        if K > MAX_NCL_N:
+            raise SizeLimitError(f"linked route sums linked-partition types up to K = {MAX_NCL_N}")
 
+        def rows(n):
+            return ((idx, count) for _, idx, count in _linked_full_types(n))
+    elif route == "interval":
+        if K - 1 > MAX_NC_N:
+            raise SizeLimitError(f"interval route sums NC(n-1) block types up to K = {MAX_NC_N + 1}")
 
-def _kappa_from_t_linked(tvec: TCoeffVector) -> CumulantVector:
-    K = tvec.K
-    if K > MAX_NCL_N:
-        raise SizeLimitError(f"linked route sums linked-partition types up to K = {MAX_NCL_N}")
-    t, tp = tvec.t.tolist(), tvec.t_prime.tolist()
-    kb = np.zeros(K, dtype=complex)
-    kp = np.zeros(K, dtype=complex)
-    for n in range(1, K + 1):
-        for _, idx, count in _linked_full_types(n):
-            b, e = _product_rule([t[i] for i in idx], [tp[i] for i in idx])
-            kb[n - 1] += count * b
-            kp[n - 1] += count * e
-    return CumulantVector(K, kb, kp)
-
-
-def _kappa_from_t_interval(tvec: TCoeffVector) -> CumulantVector:
-    K = tvec.K
-    if K - 1 > MAX_NC_N:
-        raise SizeLimitError(f"interval route sums NC(n-1) block types up to K = {MAX_NC_N + 1}")
-    t, tp = tvec.t.tolist(), tvec.t_prime.tolist()
-    kb = np.zeros(K, dtype=complex)
-    kp = np.zeros(K, dtype=complex)
-    kb[0], kp[0] = t[0], tp[0]
-    for n in range(2, K + 1):
-        for sizes, count in _nc_types(n - 1):
+        def rows(n):
             # one t_{|V|} per block of NC(n-1), and n - #blocks factors t_0
-            idx = list(sizes) + [0] * (n - len(sizes))
-            b, e = _product_rule([t[i] for i in idx], [tp[i] for i in idx])
-            kb[n - 1] += count * b
-            kp[n - 1] += count * e
-    return CumulantVector(K, kb, kp)
+            return ((list(sizes) + [0] * (n - len(sizes)), count)
+                    for sizes, count in _nc_types(n - 1))
+    else:
+        raise InvalidInputError(f"unknown route: {route!r}")
+    t, tp = tvec.t.tolist(), tvec.t_prime.tolist()
+    sums = [_type_sum(t, tp, rows(n)) for n in range(1, K + 1)]
+    return CumulantVector(K, *zip(*sums))

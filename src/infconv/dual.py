@@ -22,6 +22,15 @@ from .errors import InvalidInputError, MathDomainError
 _NUMS = (int, float, complex)
 
 
+def json_order(x) -> int:
+    """An order K read from JSON: an integer or an integral float, never a bool."""
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise InvalidInputError(f"K must be an integer, got {x!r}")
+
+
 @dataclass(frozen=True)
 class DualScalar:
     body: complex = 0.0

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dual import DualRecord, DualScalar
+from .dual import DualRecord, DualScalar, json_order
 from .errors import InvalidInputError, MathDomainError
 from .series import DualSeries
 
@@ -96,17 +96,16 @@ class InfLaw(DualRecord):
     @staticmethod
     def from_json_obj(obj: dict) -> "InfLaw":
         def dec(x) -> complex:
-            if isinstance(x, (int, float)):
-                return complex(x)
-            if isinstance(x, list) and len(x) == 2:
-                return complex(x[0], x[1])
-            raise InvalidInputError(f"bad moment entry: {x!r}")
+            parts = x if isinstance(x, list) and len(x) == 2 else [x]
+            if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+                raise InvalidInputError(f"bad moment entry: {x!r}")
+            return complex(*parts)
 
         try:
-            K = int(obj["K"])
+            K = json_order(obj["K"])
             m = [dec(x) for x in obj["m"]]
-            mp = [dec(x) for x in obj.get("m_prime", [0.0] * K)]
-        except (KeyError, TypeError, ValueError) as exc:
+            mp = [dec(x) for x in obj.get("m_prime", [0.0] * len(m))]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"bad law JSON: {exc}") from exc
         if len(m) != K or len(mp) != K:
             raise InvalidInputError("law JSON needs K moments in m and m_prime")
@@ -116,8 +115,8 @@ class InfLaw(DualRecord):
     def from_json(text: str) -> "InfLaw":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"bad JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+            raise InvalidInputError(f"malformed law JSON: {exc}") from exc
         return InfLaw.from_json_obj(obj)
 
 

@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .dual import DualScalar
+from .dual import DualScalar, json_order
 from .errors import InvalidInputError, MathDomainError
 
 _EXACT_ZERO_TOL = 1e-12
@@ -239,7 +239,7 @@ class DualSeries:
     @staticmethod
     def from_json_obj(obj: dict) -> "DualSeries":
         try:
-            order = int(obj["K"])
+            order = json_order(obj["K"])
             coeffs = obj["coeffs"]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"bad series JSON: {exc}") from exc

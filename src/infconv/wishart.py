@@ -432,10 +432,9 @@ def _all_lanes(cfg: WishartConfig, tag: int, product: bool) -> list:
 
 
 def _limit_predictions(cfg: WishartConfig, product: bool) -> InfLaw:
-    K = max(cfg.k_max, 2)
-    limit = constant_cumulant_law(cfg.c, cfg.c_prime, K=K)
+    limit = constant_cumulant_law(cfg.c, cfg.c_prime, K=cfg.k_max)
     if product:
-        return convolve_by_transform(ProductKind.FREE, limit, limit, K=K)
+        return convolve_by_transform(ProductKind.FREE, limit, limit, K=cfg.k_max)
     return limit
 
 

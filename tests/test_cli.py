@@ -160,6 +160,11 @@ def test_law_malformed_json_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "law", "--in", str(path), "--emit", "cumulants")
     assert code == 2
     assert "malformed" in err
+    for bad in (b'{"K": 1e400, "m": [1.0]}', b"\xff\xfe"):  # K overflows; not UTF-8
+        path.write_bytes(bad)
+        code, _, err = run(capsys, "law", "--in", str(path), "--emit", "cumulants")
+        assert code == 2
+        assert err.startswith("error:")
 
 
 def test_law_zero_mean_s_transform_exits_3(capsys, tmp_path):

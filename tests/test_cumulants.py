@@ -176,8 +176,7 @@ def test_free_poisson_t_vector():
 
 def test_t_moment_roundtrip():
     rng = np.random.default_rng(23)
-    for _ in range(10):
-        law = rand_law(rng)
+    for law in [rand_law(rng) for _ in range(10)] + [rand_law(rng, K=1)]:
         back = moments_from_t(t_coeffs_from_moments(law))
         assert max(law.max_abs_diff(back)) < 1e-9
 
@@ -219,8 +218,7 @@ def test_t_vector_requires_invertible_mean():
 @pytest.mark.parametrize("route", ["linked", "interval"])
 def test_kappa_from_t_routes(route):
     rng = np.random.default_rng(25)
-    for _ in range(5):
-        law = rand_law(rng)
+    for law in [rand_law(rng) for _ in range(5)] + [rand_law(rng, K=1)]:
         cum = cumulants_from_moments(law)
         via_t = kappa_from_t(t_coeffs_from_moments(law), route=route)
         assert np.max(np.abs(via_t.kappa - cum.kappa)) < 1e-9
@@ -414,6 +412,8 @@ def test_grouped_interval_route_matches_ungrouped_sum():
         got = kappa_from_t(TCoeffVector(K, t, tp), route="interval")
         assert _close(got.kappa, kb, largest)
         assert _close(got.kappa_prime, kp, largest)
+    # the route reads kappa_1 off NC(0), whose one partition is empty
+    assert _nc_types(0) == (((), 1),)
 
 
 # -- linked-partition summands -----------------------------------------------------

@@ -71,8 +71,13 @@ def test_json_roundtrip():
 
 
 def test_from_json_rejects_ragged_input():
-    with pytest.raises(InvalidInputError):
-        InfLaw.from_json('{"K": 2, "m": [1.0], "m_prime": [0.0, 0.0]}')
+    for text in ('{"K": 2, "m": [1.0], "m_prime": [0.0, 0.0]}',
+                 '{"K": 1e400, "m": [1.0]}',  # K overflows an int
+                 '{"K": 2.5, "m": [1, 2], "m_prime": [0, 0]}',
+                 '{"K": 2, "m": [true, false]}',
+                 "[" * 100_000):  # nested too deep for the JSON parser
+        with pytest.raises(InvalidInputError):
+            InfLaw.from_json(text)
 
 
 # -- shift and scale ----------------------------------------------------------

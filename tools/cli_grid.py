@@ -1,11 +1,13 @@
 """Fixed grid of in-process CLI calls, one fingerprint line per call.
 
-Runs about ninety ``infconv`` command lines through ``infconv.cli.main``:
+Runs about a hundred ``infconv`` command lines through ``infconv.cli.main``:
 every subcommand in all three formats, real and complex laws, K = 1 and
 K = 10 laws, ``--config`` before and after the subcommand, the error exits
 and ``selftest``.  Each call prints one line: the arguments, the exit code,
-and the sha256 of stdout and of stderr.  Output of two source trees can be
-compared with ``diff``:
+and the sha256 of stdout and of stderr.  A call that raises out of ``main``
+prints ``exit=raised:<exception type>`` in place of the exit code (its
+traceback goes to the real stderr), so the grid runs to the end on a tree
+that crashes.  Output of two source trees can be compared with ``diff``:
 
     python tools/cli_grid.py > new.txt
     python tools/cli_grid.py --src ../other/src > old.txt
@@ -25,6 +27,7 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 
@@ -50,6 +53,8 @@ LAWS = {
 FILES = {
     "bad.json": "{not json",
     "ragged.json": json.dumps({"K": 2, "m": [1.0], "m_prime": [0.0, 0.0]}),
+    "kinf.json": '{"K": 1e400, "m": [1.0]}',
+    "kfrac.json": '{"K": 2.5, "m": [1, 2], "m_prime": [0, 0]}',
     "cfg.txt": "format=json\nK=3\nkind=t\n",
     "cfg_noeq.txt": "format json\n",
     "cfg_unknown.txt": "colour=red\n",
@@ -87,7 +92,9 @@ def grid() -> list[tuple[list[str], str]]:
               ["law", "--in", "zeromean.json", "--emit", "tcoeffs"],
               ["law", "--in", "bad.json", "--emit", "cumulants"],
               ["law", "--in", "ragged.json", "--emit", "cumulants"],
-              ["law", "--in", "missing.json", "--emit", "cumulants"]]
+              ["law", "--in", "missing.json", "--emit", "cumulants"],
+              ["law", "--in", "kinf.json", "--emit", "cumulants"],
+              ["law", "--in", "kfrac.json", "--emit", "cumulants"]]
     pairs = (("real6.json", "real6.json"), ("cplx6.json", "real6.json"),
              ("k1x.json", "k1y.json"), ("cat10.json", "pm10.json"))
     for x, y in pairs:
@@ -103,7 +110,9 @@ def grid() -> list[tuple[list[str], str]]:
                "--format", "json"],
               ["convolve", "--law-x", "real6.json", "--law-y", "k1x.json", "-K", "3"],
               ["convolve", "--kind", "free", "--law-x", "zeromean.json", "--law-y",
-               "real6.json"]]
+               "real6.json"],
+              ["convolve", "--kind", "free", "--law-x", "kinf.json", "--law-y", "real6.json"],
+              ["convolve", "--kind", "free", "--law-x", "kfrac.json", "--law-y", "real6.json"]]
     wish = ["wishart", "--c", "1", "--cprime", "1", "--N", "16,32", "--trials", "20",
             "--kmax", "2", "--seed", "7"]
     calls += [wish + ["--format", fmt] for fmt in FORMATS]
@@ -125,7 +134,7 @@ def grid() -> list[tuple[list[str], str]]:
     return out
 
 
-def run_call(main, argv: list[str], stdin_text: str) -> tuple[int, bytes, bytes]:
+def run_call(main, argv: list[str], stdin_text: str) -> tuple[int | str, bytes, bytes]:
     out, err = io.StringIO(), io.StringIO()
     saved_stdin = sys.stdin
     sys.stdin = io.StringIO(stdin_text)
@@ -135,6 +144,9 @@ def run_call(main, argv: list[str], stdin_text: str) -> tuple[int, bytes, bytes]
                 code = main(argv)
             except SystemExit as exc:  # argparse usage errors
                 code = exc.code
+            except Exception as exc:  # a crash: uncaught by the CLI
+                code = f"raised:{type(exc).__name__}"
+                traceback.print_exc(file=sys.__stderr__)
     finally:
         sys.stdin = saved_stdin
     return code, out.getvalue().encode(), err.getvalue().encode()
