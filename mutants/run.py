@@ -22,8 +22,8 @@ tests cannot catch yet, for the reason given.  It is reported with the rest,
 never dropped.  The exit status is 0 when every entry ends as expected
 (caught, or survived for a known survivor) and 1 otherwise.
 
-Not part of the test suite.  The whole catalogue takes about a minute, most
-of it in criterion 7.
+Not part of the test suite.  The whole catalogue takes about a minute and a
+half, most of it in criterion 7.
 """
 
 from __future__ import annotations
@@ -137,7 +137,37 @@ CATALOGUE = (
         "",
         ("tests/test_benchmark_tracer.py",),
     ),
+    Mutation(
+        "mixed-slot-offset", "src/infconv/cumulants.py",
+        "G[k] = 2 ** L - 2 + ",
+        "G[k] = 2 ** L - 1 + ",
+        ("tests/test_cumulants.py",),
+    ),
+    Mutation(
+        "mixed-subword-bits-reversed", "src/infconv/cumulants.py",
+        "@ (1 << np.arange(L - 1, -1, -1))",
+        "@ (1 << np.arange(L))",
+        ("tests/test_cumulants.py",),
+    ),
+    Mutation(
+        "mixed-product-imag-sign", "src/infconv/cumulants.py",
+        "br, bi = br * xr - bi * xi, br * xi + bi * xr",
+        "br, bi = br * xr - bi * xi, br * xi - bi * xr",
+        ("tests/test_cumulants.py::test_mixed_plan_matches_literal_linked_sum",),
+    ),
+    Mutation(
+        "mixed-zero-mean-check-deleted", "src/infconv/cumulants.py",
+        "                if v.body == 0:\n",
+        "                if False:\n",
+        ("tests/test_cumulants.py",),
+    ),
     # -- convolve --
+    Mutation(
+        "free-phi-drops-last-gap", "src/infconv/convolve.py",
+        "for pos in chosen + (len(word),):",
+        "for pos in chosen:",
+        ("tests/test_convolve.py",),
+    ),
     Mutation(
         "boolean-oracle-limit", "src/infconv/convolve.py",
         "ProductKind.BOOLEAN: 10,",

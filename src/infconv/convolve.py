@@ -67,40 +67,45 @@ def free_mixed_moments(lawX: InfLaw, lawY: InfLaw) -> MomentFn:
 
     Sums dual cumulant products over monochromatic non-crossing partitions,
     organized as the usual first-block recursion with memoized contiguous
-    subwords.
+    subwords.  The recursion runs on raw (body, eps) pairs in the operation
+    order of DualScalar's product and sum; only the returned value is a
+    DualScalar.  The cumulants stay numpy scalars, as cumulants_from_moments
+    returns them: make_mixed_t inverts moments, and 1/z rounds differently
+    for numpy and Python complex scalars.
     """
-    cums = {
-        "x": cumulants_from_moments(lawX),
-        "y": cumulants_from_moments(lawY),
-    }
-    memo: dict[tuple, DualScalar] = {}
+    cums = {}
+    for letter, law in (("x", lawX), ("y", lawY)):
+        cv = cumulants_from_moments(law)
+        cums[letter] = (list(cv.kappa), list(cv.kappa_prime))
+    memo: dict[tuple, tuple] = {(): (1.0, 0.0)}
+
+    def pair(word: tuple) -> tuple:
+        first = word[0]
+        kb, ke = cums[first]
+        later = [i for i in range(1, len(word)) if word[i] == first]
+        tb = te = 0.0
+        for r in range(len(later) + 1):
+            if r >= len(kb):
+                raise MathDomainError(
+                    f"law of {first!r} holds only {len(kb)} moments; word too long"
+                )
+            # first block: word[0] and the chosen later letters; each gap,
+            # the last one included, is a free word of its own
+            for chosen in combinations(later, r):
+                b, e = kb[r], ke[r]
+                prev = 0
+                for pos in chosen + (len(word),):
+                    gap = word[prev + 1: pos]
+                    gb, ge = memo[gap] if gap in memo else pair(gap)
+                    b, e = b * gb, b * ge + e * gb
+                    prev = pos
+                tb, te = tb + b, te + e
+        memo[word] = (tb, te)
+        return tb, te
 
     def phi(word: tuple) -> DualScalar:
         word = tuple(word)
-        if not word:
-            return DualScalar(1.0)
-        if word in memo:
-            return memo[word]
-        first = word[0]
-        cv = cums[first]
-        later = [i for i in range(1, len(word)) if word[i] == first]
-        total = DualScalar(0.0)
-        for r in range(0, len(later) + 1):
-            for chosen in combinations(later, r):
-                size = r + 1
-                if size > cv.K:
-                    raise MathDomainError(
-                        f"law of {first!r} holds only {cv.K} moments; word too long"
-                    )
-                val = cv.dual(size)
-                prev = 0
-                for pos in chosen:
-                    val = val * phi(word[prev + 1 : pos])
-                    prev = pos
-                val = val * phi(word[prev + 1 :])
-                total = total + val
-        memo[word] = total
-        return total
+        return DualScalar(*(memo[word] if word in memo else pair(word)))
 
     return phi
 

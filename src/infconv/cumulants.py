@@ -31,8 +31,9 @@ the connected-classes bijection between the two.  No table reads the
 T-series or the moment power rows, and the full-block table is never
 derived from the NC(n - 1) types that the interval route sums.  Words in
 several letters (make_mixed_t, t_pi_value) cannot be grouped; make_mixed_t
-sums them partition by partition over the literal NCL(n), along cached
-factor plans (_mixed_plan).
+sums the literal NCL(n) for all 2^n words in x, y of one length at once,
+along cached factor plans (_mixed_plan) laid out as index arrays
+(_mixed_level).
 """
 
 from __future__ import annotations
@@ -402,47 +403,94 @@ def _mixed_plan(n: int) -> MixedPlan:
     return tuple(ids), tuple(plans)
 
 
-def make_mixed_t(moment_fn: MomentFn) -> TFn:
-    """Memoized multi-letter t solver on top of a mixed moment model.
+# The bit code of a word (x = 0, y = 1, first letter most significant) is
+# its index in product(LETTERS, repeat=n).  A level solve runs its words in
+# chunks of at most _LEVEL_CHUNK (plans x words) entries.
+LETTERS = ("x", "y")
+_LEVEL_CHUNK = 1 << 14
 
-    Subtracts the t_pi of every other partition of NCL(n) from the moment,
-    partition by partition along the cached factor plans of _mixed_plan:
-    mixed words have no block-type grouping.  Needs every single-letter
-    mean to have invertible body.
+
+@lru_cache(maxsize=16)
+def _mixed_level(n: int) -> tuple[np.ndarray, np.ndarray, tuple[Word, ...]]:
+    """_mixed_plan(n) laid out for all 2^n words in LETTERS at once.
+
+    G[k, w] is the flat slot of the subword of words[w] on subset k: a
+    length-L subword with bit code c sits at slot 2^L - 2 + c, so slots
+    0..2^n - 3 hold every word shorter than n.  M[j, p] is the id of plan
+    p's factor j.  Every plan has n factors (each element is the minimum of
+    one block or a t_0 factor), so M is a full (n, plans) matrix.
+    """
+    subsets, plans = _mixed_plan(n)
+    words = tuple(product(LETTERS, repeat=n))
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    G = np.empty((len(subsets), 2 ** n), dtype=np.intp)
+    for k, sub in enumerate(subsets):
+        L = len(sub)
+        G[k] = 2 ** L - 2 + bits[:, list(sub)] @ (1 << np.arange(L - 1, -1, -1))
+    M = np.array(plans, dtype=np.intp).reshape(-1, n).T
+    return G, M, words
+
+
+def make_mixed_t(moment_fn: MomentFn) -> TFn:
+    """Memoized t solver on top of a mixed moment model in the letters x, y.
+
+    The first word of length n asked for solves all 2^n words of that length
+    at once (and every shorter length first): each subtracts the t_pi of
+    every other partition of NCL(n) from its moment, along the factor plans
+    of _mixed_level(n).  Mixed words have no block-type grouping, so the
+    plans run over the literal NCL(n), column by column for all words, as
+    dual products on split real and imaginary parts in t_pi_value's factor
+    order.  Both single-letter means must have invertible body.
     """
     cache: dict[Word, DualScalar] = {}
 
+    def solve(n: int) -> dict[Word, DualScalar]:
+        """Every word of length n, from the cached words shorter than n."""
+        if n == 1:
+            vals = {(letter,): moment_fn((letter,)) for letter in LETTERS}
+            for (letter,), v in vals.items():
+                if v.body == 0:
+                    raise MathDomainError(f"mean of letter {letter!r} must be invertible")
+            return vals
+        G, M, words = _mixed_level(n)
+        known = [cache[w] for L in range(1, n) for w in product(LETTERS, repeat=L)]
+        body = np.array([v.body for v in known], dtype=complex)
+        eps = np.array([v.eps for v in known], dtype=complex)
+        parts = (body.real, body.imag, eps.real, eps.imag)
+        rest = np.empty((2, len(words)), dtype=complex)
+        step = max(2, _LEVEL_CHUNK // M.shape[1])
+        for lo in range(0, len(words), step):
+            Gc = G[:, lo: lo + step]
+            br = np.ones((M.shape[1], Gc.shape[1]))
+            bi, er, ei = np.zeros_like(br), np.zeros_like(br), np.zeros_like(br)
+            for row in M:
+                # acc * f = (b*fb, b*fe + e*fb), each complex product spelled
+                # out in float64: numpy's complex128 array multiply fuses
+                # multiply-adds and would not round as the scalar products do
+                xr, xi, yr, yi = (a[Gc[row]] for a in parts)
+                er, ei = (br * yr - bi * yi + (er * xr - ei * xi),
+                          br * yi + bi * yr + (er * xi + ei * xr))
+                br, bi = br * xr - bi * xi, br * xi + bi * xr
+            for out, re, im in ((rest[0], br, bi), (rest[1], er, ei)):
+                out.real[lo: lo + step] = np.add.reduce(re, axis=0, initial=0.0)
+                out.imag[lo: lo + step] = np.add.reduce(im, axis=0, initial=0.0)
+        vals = {}
+        for word, rest_b, rest_e in zip(words, *rest):
+            lead = DualScalar(1.0)
+            for letter in word[1:]:
+                lead = lead * cache[(letter,)]
+            vals[word] = (moment_fn(word) - DualScalar(rest_b, rest_e)) / lead
+        return vals
+
     def t(word: Word) -> DualScalar:
         word = tuple(word)
-        if word in cache:
-            return cache[word]
-        n = len(word)
-        if n == 0:
-            raise InvalidInputError("empty word")
-        if n == 1:
-            val = moment_fn(word)
-            if val.body == 0:
-                raise MathDomainError(f"mean of letter {word[0]!r} must be invertible")
-            cache[word] = val
-            return val
-        subsets, plans = _mixed_plan(n)
-        factors = [t(tuple(word[i] for i in sub)) for sub in subsets]
-        fb = [f.body for f in factors]
-        fe = [f.eps for f in factors]
-        # dual products on raw (body, eps) pairs, in t_pi_value's order
-        rest_b = rest_e = 0.0
-        for plan in plans:
-            b, e = 1.0, 0.0
-            for i in plan:
-                b, e = b * fb[i], b * fe[i] + e * fb[i]
-            rest_b += b
-            rest_e += e
-        lead = DualScalar(1.0)
-        for letter in word[1:]:
-            lead = lead * t((letter,))
-        val = (moment_fn(word) - DualScalar(rest_b, rest_e)) / lead
-        cache[word] = val
-        return val
+        if word not in cache:
+            if not word or not set(word) <= set(LETTERS):
+                raise InvalidInputError(f"mixed words are non-empty words in {LETTERS}: {word!r}")
+            for n in range(1, len(word) + 1):
+                if LETTERS[-1:] * n not in cache:
+                    cache.update(solve(n))
+        return cache[word]
 
     return t
 
@@ -471,7 +519,7 @@ def mixed_vanishing_check(moment_fn: MomentFn, max_len: int) -> MixedVanishingRe
     we: Word = ()
     count = 0
     for n in range(2, max_len + 1):
-        for word in product(("x", "y"), repeat=n):
+        for word in product(LETTERS, repeat=n):
             if len(set(word)) < 2:
                 continue
             val = t(word)

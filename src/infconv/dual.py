@@ -31,6 +31,17 @@ def json_order(x) -> int:
     raise InvalidInputError(f"K must be an integer, got {x!r}")
 
 
+def json_complex(x) -> complex:
+    """A complex number read from JSON: a number or [re, im], with no bool part."""
+    parts = x if isinstance(x, list) and len(x) == 2 else [x]
+    if all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+        try:
+            return complex(*parts)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise InvalidInputError(f"bad number entry: {x!r}")
+
+
 @dataclass(frozen=True)
 class DualScalar:
     body: complex = 0.0

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dual import DualRecord, DualScalar, json_order
+from .dual import DualRecord, DualScalar, json_complex, json_order
 from .errors import InvalidInputError, MathDomainError
 from .series import DualSeries
 
@@ -95,17 +95,11 @@ class InfLaw(DualRecord):
 
     @staticmethod
     def from_json_obj(obj: dict) -> "InfLaw":
-        def dec(x) -> complex:
-            parts = x if isinstance(x, list) and len(x) == 2 else [x]
-            if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
-                raise InvalidInputError(f"bad moment entry: {x!r}")
-            return complex(*parts)
-
         try:
             K = json_order(obj["K"])
-            m = [dec(x) for x in obj["m"]]
-            mp = [dec(x) for x in obj.get("m_prime", [0.0] * len(m))]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            m = [json_complex(x) for x in obj["m"]]
+            mp = [json_complex(x) for x in obj.get("m_prime", [0.0] * len(m))]
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"bad law JSON: {exc}") from exc
         if len(m) != K or len(mp) != K:
             raise InvalidInputError("law JSON needs K moments in m and m_prime")

@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .dual import DualScalar, json_order
+from .dual import DualScalar, json_complex, json_order
 from .errors import InvalidInputError, MathDomainError
 
 _EXACT_ZERO_TOL = 1e-12
@@ -243,14 +243,14 @@ class DualSeries:
             coeffs = obj["coeffs"]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"bad series JSON: {exc}") from exc
-        if len(coeffs) != order + 1:
+        if not isinstance(coeffs, list) or len(coeffs) != order + 1:
             raise InvalidInputError("series JSON needs K+1 coefficient rows")
         s = DualSeries(order)
         for k, row in enumerate(coeffs):
-            if len(row) != 4:
+            if not isinstance(row, list) or len(row) != 4:
                 raise InvalidInputError("coefficient rows are [re, im, re', im']")
-            s.body[k] = complex(row[0], row[1])
-            s.eps[k] = complex(row[2], row[3])
+            s.body[k] = json_complex(row[:2])
+            s.eps[k] = json_complex(row[2:])
         return s
 
     def to_json(self) -> str:
@@ -260,7 +260,7 @@ class DualSeries:
     def from_json(text: str) -> "DualSeries":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise InvalidInputError(f"bad JSON: {exc}") from exc
         return DualSeries.from_json_obj(obj)
 

@@ -69,6 +69,8 @@ def test_free_word_too_long_for_law():
     phi = free_mixed_moments(law, law)
     with pytest.raises(MathDomainError):
         phi(("x",) * 3)
+    with pytest.raises(MathDomainError):  # x's first block has three letters
+        phi(("x", "y", "x", "x"))
 
 
 def test_monotone_word_confluence():

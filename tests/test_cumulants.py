@@ -39,6 +39,7 @@ from infconv import (
 )
 from infconv.cumulants import (
     _linked_full_types,
+    _mixed_level,
     _mixed_plan,
     _nc_types,
     _ncl_types,
@@ -484,6 +485,25 @@ def test_mixed_plan_has_one_plan_per_partition_but_the_full_block(n):
     assert len(set(subsets)) == len(subsets)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_mixed_level_slots_decode_to_subwords(n):
+    subsets, plans = _mixed_plan(n)
+    G, M, words = _mixed_level(n)
+    assert words == tuple(itertools.product("xy", repeat=n))
+
+    def decode(slot):
+        L = (int(slot) + 2).bit_length() - 1
+        return tuple(itertools.product("xy", repeat=L))[slot + 2 - 2 ** L]
+
+    assert G.shape == (len(subsets), 2 ** n)
+    for k, sub in enumerate(subsets):
+        for w, word in enumerate(words):
+            assert decode(G[k, w]) == tuple(word[i] for i in sub)
+    # every plan has n factors, so M needs no padding
+    assert M.shape == (n, len(plans))
+    assert [tuple(col) for col in M.T] == list(plans)
+
+
 def test_mixed_plan_matches_literal_linked_sum():
     rng = np.random.default_rng(32)
     phi = boolean_mixed_moments(rand_complex_law(rng, 6), rand_complex_law(rng, 6))
@@ -529,6 +549,17 @@ def test_make_mixed_t_needs_invertible_means():
     t = make_mixed_t(free_mixed_moments(lawX, lawY))
     with pytest.raises(MathDomainError):
         t(("x", "y"))
+    # all words of one length are solved together, so yy needs x's mean too
+    with pytest.raises(MathDomainError, match="mean of letter 'x'"):
+        t(("y", "y"))
+
+
+def test_make_mixed_t_rejects_other_letters():
+    law = InfLaw.point_mass(1.0, K=3)
+    t = make_mixed_t(free_mixed_moments(law, law))
+    for word in (("x", "z"), ("z",), ()):
+        with pytest.raises(InvalidInputError):
+            t(word)
 
 
 def test_mixed_check_size_guard():

@@ -223,6 +223,18 @@ def test_json_roundtrip():
     assert g.almost_equal(f, 0.0)
 
 
+def test_from_json_rejects_malformed_input():
+    for text in ('{"K": 0, "coeffs": [5]}',            # a row that is not a list
+                 '{"K": 0, "coeffs": 5}',              # rows that are not a list
+                 '{"K": 0, "coeffs": [["1", 0, 0, 0]]}',
+                 '{"K": 0, "coeffs": [[true, false, 0, 0]]}',
+                 '{"K": 0, "coeffs": [[' + "9" * 400 + ', 0, 0, 0]]}',  # past the float range
+                 '{"K": 1, "coeffs": [[1, 0, 0, 0]]}',
+                 "[" * 100_000):                       # nested too deep for the JSON parser
+        with pytest.raises(InvalidInputError):
+            DualSeries.from_json(text)
+
+
 @given(st.integers(min_value=0, max_value=20260814))
 @settings(max_examples=15, deadline=None)
 def test_series_mul_associative(seed):
