@@ -107,10 +107,18 @@ CATALOGUE = (
         ("tests/test_cumulants.py",),
     ),
     Mutation(
-        "moments-from-t-t0-count", "src/infconv/cumulants.py",
-        "[s - 1 for s in sizes] + [0] * (n - len(sizes))",
-        "[s - 1 for s in sizes] + [0] * (n - len(sizes) - 1)",
-        ("tests/test_cumulants.py",),
+        "moments-from-t-reads-nc-n-1", "src/infconv/cumulants.py",
+        "for sizes, count in _nc_types(n))",
+        "for sizes, count in _nc_types(n - 1))",
+        ("tests/test_cumulants.py::test_t_moment_roundtrip",
+         "tests/test_cumulants.py::test_grouped_moments_from_t_matches_ungrouped_sum"),
+    ),
+    Mutation(
+        "moments-from-t-skips-single-block", "src/infconv/cumulants.py",
+        "for sizes, count in _nc_types(n))",
+        "for sizes, count in _nc_types(n) if len(sizes) > 1)",
+        ("tests/test_cumulants.py::test_t_moment_roundtrip",
+         "tests/test_cumulants.py::test_grouped_moments_from_t_matches_ungrouped_sum"),
     ),
     Mutation(
         "interval-indices-shifted", "src/infconv/cumulants.py",
@@ -167,6 +175,12 @@ CATALOGUE = (
         "for pos in chosen + (len(word),):",
         "for pos in chosen:",
         ("tests/test_convolve.py",),
+    ),
+    Mutation(
+        "boolean-sweep-run-not-extended", "src/infconv/convolve.py",
+        "add((cur, r + 1), w)",
+        "add((cur, r), w)",
+        ("tests/test_convolve.py::test_boolean_sweep_matches_word_expansion",),
     ),
     Mutation(
         "boolean-oracle-limit", "src/infconv/convolve.py",

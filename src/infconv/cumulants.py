@@ -22,13 +22,14 @@ evaluated, sums those products over rows of (factor indices, type count).
 
 Routes for a single variable: t_coeffs_from_moments reads the coefficients
 off the T-series (production).  moments_from_t, kappa_from_t and
-inf_cumulants_direct are the oracles: partition sums over NC(n) or NCL(n),
-grouped by block type because a single-variable summand depends only on
-the multiset of block sizes.  The type tables are counted, not enumerated:
-NC(n) types by Kreweras' formula, the linked class of the full block by a
-scan that generates only connected linked partitions, and NCL(n) types by
-the connected-classes bijection between the two.  No table reads the
-T-series or the moment power rows, and the full-block table is never
+inf_cumulants_direct are the oracles: partition sums grouped by block type
+because a single-variable summand depends only on the multiset of block
+sizes.  The two type tables are counted, not enumerated: NC(n) types by
+Kreweras' formula, and the linked class of the full block by a scan that
+generates only connected linked partitions.  moments_from_t sums over
+NCL(n) through the connected-classes bijection between the two: the NC(n)
+types, each block weighted by the linked route's kappa~.  No table reads
+the T-series or the moment power rows, and the full-block table is never
 derived from the NC(n - 1) types that the interval route sums.  Words in
 several letters (make_mixed_t, t_pi_value) cannot be grouped; make_mixed_t
 sums the literal NCL(n) for all 2^n words in x, y of one length at once,
@@ -289,31 +290,6 @@ def _linked_full_types(n: int) -> TypeTable:
     return tuple((key, factors[key], counts[key]) for key in sorted(factors))
 
 
-@lru_cache(maxsize=16)
-def _ncl_types(n: int) -> TypeCounts:
-    """(sorted block sizes, count) for each block type of NCL(n).
-
-    connected_classes maps NCL(n) one to one onto the pairs (sigma in NC(n),
-    one linked partition of the full block of each V in sigma).  So each NC
-    type, weighted by its Kreweras count, contributes the multiset
-    convolution of _linked_full_types(|V|) over its blocks.  For a single
-    variable t_pi depends only on the block sizes: one factor t_{|V|-1} per
-    block and n - #blocks factors of t_0.  Reads neither the T-series nor
-    the moment power rows.
-    """
-    counts: Counter = Counter()
-    for sizes, count in _nc_types(n):
-        conv = {(): count}
-        for s in sizes:
-            nxt: Counter = Counter()
-            for key, c in conv.items():
-                for sub, _, m in _linked_full_types(s):
-                    nxt[tuple(sorted(key + sub))] += c * m
-            conv = nxt
-        counts.update(conv)
-    return tuple(sorted(counts.items()))
-
-
 def t_coeffs_from_moments(law: InfLaw) -> TCoeffVector:
     """t~_0..t~_{K-1} read off the T-transform, their generating function.
 
@@ -332,19 +308,22 @@ def t_coeffs_from_moments(law: InfLaw) -> TCoeffVector:
 def moments_from_t(tvec: TCoeffVector) -> InfLaw:
     """Forward linked-partition sum; oracle for t_coeffs_from_moments.
 
-    Sums count * t_pi over the block types of NCL(n); t_pi depends only on
-    the block sizes.
+    Sums t_pi over NCL(n) through the connected-classes bijection: NCL(n)
+    maps one to one onto the pairs (sigma in NC(n), one linked partition of
+    each block of sigma), and t_pi factors over those blocks.  So m~_n is
+    the NC(n) moment-cumulant sum, count * prod_V kappa~_{|V|} over the
+    block types, of the linked route's kappa~ (kappa_from_t).  Reads neither
+    the T-series nor the moment power rows.
     """
     K = tvec.K
     if K > MAX_NCL_N:
         raise SizeLimitError(f"linked-partition sums cover n <= {MAX_NCL_N}")
-    t, tp = tvec.t.tolist(), tvec.t_prime.tolist()
+    cum = kappa_from_t(tvec, route="linked")
+    kb, kp = cum.kappa.tolist(), cum.kappa_prime.tolist()
     sums = []
     for n in range(1, K + 1):
-        # one t_{|V|-1} per block, one t_0 per non-minimal element
-        rows = (([s - 1 for s in sizes] + [0] * (n - len(sizes)), count)
-                for sizes, count in _ncl_types(n))
-        sums.append(_type_sum(t, tp, rows))
+        rows = (([s - 1 for s in sizes], count) for sizes, count in _nc_types(n))
+        sums.append(_type_sum(kb, kp, rows))
     return InfLaw(K, *zip(*sums))
 
 

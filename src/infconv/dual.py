@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Number
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import InvalidInputError, MathDomainError
-
-_NUMS = (int, float, complex)
 
 
 def json_order(x) -> int:
@@ -51,7 +50,7 @@ class DualScalar:
     def of(value) -> "DualScalar":
         if isinstance(value, DualScalar):
             return value
-        if isinstance(value, _NUMS):
+        if isinstance(value, Number):  # numpy's scalar types included
             return DualScalar(complex(value), 0.0)
         raise TypeError(f"cannot coerce {type(value).__name__} to DualScalar")
 

@@ -95,6 +95,8 @@ class WishartConfig:
         if not 0 <= int(self.seed) < 2**63:
             raise ConfigError("seed must be a non-negative 64-bit integer")
         for n in self.N_list:
+            if not math.isfinite(self.c * n + self.c_prime):
+                raise ConfigError(f"c*{n} + c' must be finite")
             if self.M(n) < 1:
                 raise ConfigError(f"round(c*{n} + c') must be >= 1")
 

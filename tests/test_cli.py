@@ -378,6 +378,15 @@ def test_wishart_zero_trials_exits_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("flags", [("--c", "inf"), ("--c", "1", "--cprime", "nan"),
+                                   ("--c", "1e308")])
+def test_wishart_non_finite_rows_exit_2(capsys, flags):
+    code, out, err = run(capsys, "wishart", *flags, "--trials", "10")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be finite" in err
+
+
 def test_wishart_missing_c_exits_2(capsys):
     code, _, err = run(capsys, "wishart", "--N", "32,64", "--trials", "10")
     assert code == 2

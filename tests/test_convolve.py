@@ -17,6 +17,7 @@ from infconv import (
     MathDomainError,
     ProductKind,
     SizeLimitError,
+    boolean_mixed_moments,
     constant_cumulant_law,
     convolve_by_transform,
     free_mixed_moments,
@@ -117,6 +118,31 @@ def test_monotone_sweep_matches_word_expansion(order):
             lawX, lawY = _rand_complex_law(rng, K), _rand_complex_law(rng, K)
             got = oracle_monotone_product(lawX, lawY, K, order=order)
             want = _monotone_by_words(lawX, lawY, K, order)
+            for g, w in ((got.m, want.m), (got.m_prime, want.m_prime)):
+                assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def _boolean_by_words(lawX, lawY, K):
+    """Sum boolean_mixed_moments over all 4^k subsequence words of (x y)^k."""
+    phi = boolean_mixed_moments(lawX, lawY)
+    out = []
+    for k in range(1, K + 1):
+        factors = ("x", "y") * k
+        total = DualScalar(0.0)
+        for mask in range(1 << (2 * k)):
+            # the empty word (mask 0) has moment 1
+            total = total + phi(tuple(ch for i, ch in enumerate(factors) if (mask >> i) & 1))
+        out.append(total)
+    return InfLaw.from_moments(out)
+
+
+def test_boolean_sweep_matches_word_expansion():
+    rng = np.random.default_rng(42)
+    for K in range(1, 6):
+        for _ in range(3):
+            lawX, lawY = _rand_complex_law(rng, K), _rand_complex_law(rng, K)
+            got = oracle_boolean_product(lawX, lawY, K)
+            want = _boolean_by_words(lawX, lawY, K)
             for g, w in ((got.m, want.m), (got.m_prime, want.m_prime)):
                 assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 

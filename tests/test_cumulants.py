@@ -42,7 +42,6 @@ from infconv.cumulants import (
     _mixed_level,
     _mixed_plan,
     _nc_types,
-    _ncl_types,
     _product_rule,
     _size_key,
 )
@@ -240,6 +239,26 @@ def _t_indices(pi):
     return tuple(len(b) - 1 for b in pi.blocks) + (0,) * len(non_minimal_elements(pi))
 
 
+def _ncl_types(n):
+    # (sorted block sizes, count) of NCL(n) through the connected-classes
+    # bijection that moments_from_t sums along: NCL(n) maps one to one onto
+    # the pairs (sigma in NC(n), one linked partition of the full block of
+    # each block of sigma), so each NC(n) type, weighted by its Kreweras
+    # count, contributes the multiset convolution of _linked_full_types(|V|)
+    # over its blocks V
+    counts = Counter()
+    for sizes, count in _nc_types(n):
+        conv = {(): count}
+        for s in sizes:
+            nxt = Counter()
+            for key, c in conv.items():
+                for sub, _, m in _linked_full_types(s):
+                    nxt[tuple(sorted(key + sub))] += c * m
+            conv = nxt
+        counts.update(conv)
+    return tuple(sorted(counts.items()))
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_ncl_type_table_covers_ncl(n):
     table = _ncl_types(n)
@@ -268,23 +287,23 @@ def test_non_minimal_count_is_n_minus_blocks(n):
 
 def test_grouped_moments_from_t_matches_ungrouped_sum():
     rng = np.random.default_rng(29)
-    K = 6
-    t = rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K)
-    t[0] = rng.uniform(0.7, 1.3)
-    tvec = TCoeffVector(K, t, rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K))
+    for K in (6, 7):
+        t = rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K)
+        t[0] = rng.uniform(0.7, 1.3)
+        tvec = TCoeffVector(K, t, rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K))
 
-    def t_fn(word):
-        return tvec.dual(len(word) - 1)
+        def t_fn(word):
+            return tvec.dual(len(word) - 1)
 
-    grouped = moments_from_t(tvec)
-    for n in range(1, K + 1):
-        word = ("a",) * n
-        total = DualScalar(0.0)
-        for pi in enumerate_ncl(n):
-            total = total + t_pi_value(pi, word, t_fn)
-        # order-6 sums reach ~1e3, so compare relative to the term's size
-        assert abs(grouped.m[n - 1] - total.body) <= 1e-12 * max(1.0, abs(total.body))
-        assert abs(grouped.m_prime[n - 1] - total.eps) <= 1e-12 * max(1.0, abs(total.eps))
+        grouped = moments_from_t(tvec)
+        for n in range(1, K + 1):
+            word = ("a",) * n
+            total = DualScalar(0.0)
+            for pi in enumerate_ncl(n):
+                total = total + t_pi_value(pi, word, t_fn)
+            # order-6 and -7 sums reach ~1e3, so compare relative to the term's size
+            assert abs(grouped.m[n - 1] - total.body) <= 1e-12 * max(1.0, abs(total.body))
+            assert abs(grouped.m_prime[n - 1] - total.eps) <= 1e-12 * max(1.0, abs(total.eps))
 
 
 @pytest.mark.parametrize("n", range(1, 9))

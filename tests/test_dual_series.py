@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from infconv import (
     DualScalar,
     DualSeries,
+    InfLaw,
     InvalidInputError,
     MathDomainError,
+    constant_cumulant_law,
+    shifted,
 )
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -53,6 +56,26 @@ def test_integer_power():
 def test_zero_body_has_no_inverse():
     with pytest.raises(MathDomainError):
         DualScalar(0.0, 1.0).inv()
+
+
+def _same_law(a, b):
+    return a.K == b.K and np.array_equal(a.m, b.m) and np.array_equal(a.m_prime, b.m_prime)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.float32, np.complex64])
+def test_numpy_scalars_coerce(kind):
+    assert DualScalar.of(kind(2)) == DualScalar(2.0)
+    assert DualScalar(1.0, 1.0) * kind(2) == DualScalar(2.0, 2.0)
+    law = InfLaw.point_mass(kind(2), K=3)
+    assert _same_law(law, InfLaw.point_mass(2.0, K=3))
+    assert _same_law(shifted(law, kind(1)), InfLaw.point_mass(3.0, K=3))
+    assert _same_law(constant_cumulant_law(kind(1)), constant_cumulant_law(1.0))
+
+
+def test_non_numbers_do_not_coerce():
+    for value in (np.bool_(True), "1", None, [1.0]):
+        with pytest.raises(TypeError):
+            DualScalar.of(value)
 
 
 @given(duals(), duals(), duals())

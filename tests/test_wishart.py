@@ -64,6 +64,14 @@ def test_rows_must_stay_rectangular():
         WishartConfig(c=0.001, N_list=(16, 32), trials=10)
 
 
+@pytest.mark.parametrize("c, c_prime", [(math.inf, 0.0), (1.0, math.nan), (1.0, -math.inf),
+                                         (1e308, 0.0), (math.inf, -math.inf)])
+def test_rows_must_be_finite(c, c_prime):
+    # c N + c' is checked before it is rounded to a row count
+    with pytest.raises(ConfigError, match="finite"):
+        WishartConfig(c=c, c_prime=c_prime, N_list=(16, 32), trials=10)
+
+
 def test_row_count_formula():
     cfg = WishartConfig(c=0.5, c_prime=2.0, N_list=(100, 200), trials=10)
     assert cfg.M(100) == 52 and cfg.M(200) == 102

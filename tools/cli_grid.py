@@ -116,7 +116,9 @@ def grid() -> list[tuple[list[str], str]]:
     wish = ["wishart", "--c", "1", "--cprime", "1", "--N", "16,32", "--trials", "20",
             "--kmax", "2", "--seed", "7"]
     calls += [wish + ["--format", fmt] for fmt in FORMATS]
-    calls += [wish + ["--product"], ["wishart", "--N", "16"]]
+    calls += [wish + ["--product"], ["wishart", "--N", "16"],
+              ["wishart", "--c", "inf"], ["wishart", "--c", "1", "--cprime", "nan"],
+              ["wishart", "--c", "1e308"]]
     calls += [["--config", "cfg.txt", "law", "--in", "real6.json", "--emit", "transform"],
               ["law", "--config", "cfg.txt", "--in", "real6.json", "--emit", "transform"],
               ["--config", "cfg.txt", "law", "--in", "cplx6.json", "--emit", "tcoeffs",
