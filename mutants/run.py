@@ -164,10 +164,26 @@ CATALOGUE = (
         ("tests/test_cumulants.py::test_mixed_plan_matches_literal_linked_sum",),
     ),
     Mutation(
+        "mixed-check-counts-pure-words", "src/infconv/cumulants.py",
+        "for word in product(LETTERS, repeat=n) if len(set(word)) > 1)",
+        "for word in product(LETTERS, repeat=n) if len(set(word)) > 0)",
+        ("tests/test_cumulants.py::test_mixed_t_vanishes_for_free_letters",
+         "tests/test_acceptance.py::test_criterion_5_t_coefficient_identities"),
+    ),
+    Mutation(
         "mixed-zero-mean-check-deleted", "src/infconv/cumulants.py",
         "                if v.body == 0:\n",
         "                if False:\n",
         ("tests/test_cumulants.py",),
+    ),
+    # -- triangular: centered alternating words --
+    Mutation(
+        "centered-drops-centering", "src/infconv/triangular.py",
+        "weight = weight * (-mu[word[i]])",
+        "weight = weight * mu[word[i]]",
+        ("tests/test_triangular.py::test_centered_words_vanish_for_free_pairs",
+         "tests/test_acceptance.py::test_criterion_8_centered_alternating_words",
+         "tests/test_cli.py::test_selftest_passes"),
     ),
     # -- convolve --
     Mutation(
@@ -263,15 +279,16 @@ def main() -> int:
     outcomes = []
     unexpected = 0
     t_all = time.perf_counter()
+    width = max(len(m.name) for m in CATALOGUE)
     for m in CATALOGUE:
         outcome, dt, last = run_entry(m)
         outcomes.append(outcome)
         expected = "survived" if m.survives else "caught"
         unexpected += outcome != expected
         note = "" if outcome == expected else f"  UNEXPECTED (expected {expected})"
-        print(f"{m.name:28s} {outcome:8s} {dt:6.1f}s  {last}{note}", flush=True)
+        print(f"{m.name:{width}s} {outcome:8s} {dt:6.1f}s  {last}{note}", flush=True)
         if m.survives:
-            print(f"{'':28s} known survivor: {m.survives}", flush=True)
+            print(f"{'':{width}s} known survivor: {m.survives}", flush=True)
     tally = ", ".join(f"{k} {outcomes.count(k)}"
                       for k in ("caught", "survived", "stale", "error"))
     print(f"{len(CATALOGUE)} entries: {tally}; {unexpected} unexpected; "

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import cumulants as _cum
 from . import laws as _laws
-from .convolve import ORACLE_MAX_K, ProductKind, convolve_by_transform, verify
+from .convolve import (ORACLE_MAX_K, ProductKind, boolean_mixed_moments,
+                       convolve_by_transform, free_mixed_moments, verify)
 from .dual import DualRecord, DualScalar
 from .errors import (
     ConfigError,
@@ -421,7 +422,6 @@ def _selftest_checks():
                     rep = verify(kind, lx, ly, 6, order=order)
                     if not rep.passed:
                         return f"{kind.value} ({order}) deviates {rep.deviation_body:.2e}"
-        from .convolve import boolean_mixed_moments
         lx, ly = _rand_law(rng, K=6), _rand_law(rng, K=6)
         phi = boolean_mixed_moments(lx, ly)
         wrong = InfLaw.from_moments([phi(("x", "y") * k) for k in range(1, 7)])
@@ -442,10 +442,10 @@ def _selftest_checks():
                 if got.max_abs_diff(want) > 1e-9:
                     return f"{kind.value} block routes"
         lx, ly = _rand_law(rng, K=3), _rand_law(rng, K=3)
-        rep = centered_alternating_check(lx, ly, max_word_len=5, model="free")
+        rep = centered_alternating_check(free_mixed_moments(lx, ly), max_len=5)
         if rep.max_body > 1e-9 or rep.max_eps > 1e-9:
             return "free centered words"
-        repb = centered_alternating_check(lx, ly, max_word_len=5, model="boolean")
+        repb = centered_alternating_check(boolean_mixed_moments(lx, ly), max_len=5)
         if repb.max_body < 1e-6:
             return "boolean centered words should not vanish"
         return None

@@ -26,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Callable
 
-from .cumulants import cumulants_from_moments
+from .cumulants import MomentFn, cumulants_from_moments
 from .dual import DualScalar
 from .errors import InvalidInputError, MathDomainError, SizeLimitError
 from .laws import (
@@ -41,8 +40,6 @@ from .laws import (
     shifted,
     t_transform,
 )
-
-MomentFn = Callable[[tuple], DualScalar]
 
 
 class ProductKind(Enum):

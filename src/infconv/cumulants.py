@@ -35,6 +35,11 @@ several letters (make_mixed_t, t_pi_value) cannot be grouped; make_mixed_t
 sums the literal NCL(n) for all 2^n words in x, y of one length at once,
 along cached factor plans (_mixed_plan) laid out as index arrays
 (_mixed_level).
+
+Both freeness word checks take a mixed-moment model (MomentFn) and return a
+WordCheckReport from one scan, scan_words: mixed_vanishing_check here, over
+the mixed t-coefficients, and triangular.centered_alternating_check, over
+centered alternating words.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import factorial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -475,7 +480,10 @@ def make_mixed_t(moment_fn: MomentFn) -> TFn:
 
 
 @dataclass(frozen=True)
-class MixedVanishingReport:
+class WordCheckReport:
+    """Largest |body| and |eps| of a per-word dual value, the first word to
+    reach each, and the number of words checked."""
+
     max_body: float
     max_eps: float
     worst_body_word: Word
@@ -483,7 +491,23 @@ class MixedVanishingReport:
     words_checked: int
 
 
-def mixed_vanishing_check(moment_fn: MomentFn, max_len: int) -> MixedVanishingReport:
+def scan_words(value: Callable[[Word], DualScalar], words: Iterable[Word]) -> WordCheckReport:
+    """Evaluate value on each word; keep the first word reaching each maximum."""
+    max_body = max_eps = 0.0
+    wb: Word = ()
+    we: Word = ()
+    count = 0
+    for word in words:
+        val = value(word)
+        count += 1
+        if abs(val.body) > max_body:
+            max_body, wb = abs(val.body), word
+        if abs(val.eps) > max_eps:
+            max_eps, we = abs(val.eps), word
+    return WordCheckReport(max_body, max_eps, wb, we, count)
+
+
+def mixed_vanishing_check(moment_fn: MomentFn, max_len: int) -> WordCheckReport:
     """Largest |t| and |t'| over genuinely mixed words in x, y up to max_len.
 
     For infinitesimally free letters both maxima vanish; a Boolean pair is
@@ -491,23 +515,9 @@ def mixed_vanishing_check(moment_fn: MomentFn, max_len: int) -> MixedVanishingRe
     """
     if max_len > MAX_NCL_N:
         raise SizeLimitError(f"mixed words enumerate NCL(n); max_len <= {MAX_NCL_N}")
-    t = make_mixed_t(moment_fn)
-    max_body = 0.0
-    max_eps = 0.0
-    wb: Word = ()
-    we: Word = ()
-    count = 0
-    for n in range(2, max_len + 1):
-        for word in product(LETTERS, repeat=n):
-            if len(set(word)) < 2:
-                continue
-            val = t(word)
-            count += 1
-            if abs(val.body) > max_body:
-                max_body, wb = abs(val.body), word
-            if abs(val.eps) > max_eps:
-                max_eps, we = abs(val.eps), word
-    return MixedVanishingReport(max_body, max_eps, wb, we, count)
+    words = (word for n in range(2, max_len + 1)
+             for word in product(LETTERS, repeat=n) if len(set(word)) > 1)
+    return scan_words(make_mixed_t(moment_fn), words)
 
 
 # -- cumulants from t-data ---------------------------------------------------

@@ -50,7 +50,8 @@ class DualScalar:
     def of(value) -> "DualScalar":
         if isinstance(value, DualScalar):
             return value
-        if isinstance(value, Number):  # numpy's scalar types included
+        # numpy's scalar types included; bools are not numbers here, as in JSON
+        if isinstance(value, Number) and not isinstance(value, bool):
             return DualScalar(complex(value), 0.0)
         raise TypeError(f"cannot coerce {type(value).__name__} to DualScalar")
 

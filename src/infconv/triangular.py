@@ -19,19 +19,22 @@ each transform is computed two ways:
 of the two routes.  Corner entries at c = 0 reduce to the scalar
 infinitesimal transforms composed with b.
 
-``centered_alternating_check`` verifies the embedding's defining property:
-for infinitesimally free pairs, centered alternating words have vanishing
-dual expectation in both components.  Boolean pairs violate it from word
-length three on, which serves as the negative control.
+``centered_alternating_check`` verifies the embedding's defining property
+on a mixed-moment model in the letters x, y (for example
+``free_mixed_moments`` or ``boolean_mixed_moments``): for infinitesimally
+free pairs, centered alternating words have vanishing dual expectation in
+both components.  Boolean pairs violate it from word length three on, which
+serves as the negative control.  It returns the same ``WordCheckReport``,
+from the same word scan, as ``cumulants.mixed_vanishing_check``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import boolean_mixed_moments, free_mixed_moments
+from .cumulants import LETTERS, MomentFn, WordCheckReport, scan_words
 from .dual import DualScalar
 from .errors import InvalidInputError, SizeLimitError
 from .laws import InfLaw, TransformKind, d_transform, transform
@@ -117,60 +120,30 @@ def block_transform_formula(kind: TransformKind, law: InfLaw, b, c) -> UT2:
 # -- centered alternating words ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CenteredWordReport:
-    model: str
-    words_checked: int
-    max_body: float
-    max_eps: float
-    worst_body_word: str
-    worst_eps_word: str
+def centered_alternating_check(moment_fn: MomentFn, max_len: int = 6) -> WordCheckReport:
+    """Dual expectations of centered alternating words under a mixed-moment model.
 
-    def to_json_obj(self) -> dict:
-        return asdict(self)
-
-
-def centered_alternating_check(
-    lawX: InfLaw, lawY: InfLaw, max_word_len: int = 6, model: str = "free"
-) -> CenteredWordReport:
-    """Dual expectations of centered alternating words.
-
-    Centers each letter by its dual mean and expands the product of centered
-    factors over subsets.  Under infinitesimal freeness every alternating
-    word vanishes in both components; under Boolean independence words of
-    length three and beyond generically do not.
+    Centers each letter by its dual mean moment_fn((letter,)) and expands
+    the product of centered factors over subsets.  Under infinitesimal
+    freeness every alternating word vanishes in both components; under
+    Boolean independence words of length three and beyond generically do not.
     """
-    if not 2 <= max_word_len <= MAX_CENTERED_LEN:
-        raise SizeLimitError(f"max_word_len must be in 2..{MAX_CENTERED_LEN}")
-    if model == "free":
-        phi = free_mixed_moments(lawX, lawY)
-    elif model == "boolean":
-        phi = boolean_mixed_moments(lawX, lawY)
-    else:
-        raise InvalidInputError("model must be 'free' or 'boolean'")
-    mu = {"x": lawX.dual_moment(1), "y": lawY.dual_moment(1)}
+    if not 2 <= max_len <= MAX_CENTERED_LEN:
+        raise SizeLimitError(f"max_len must be in 2..{MAX_CENTERED_LEN}")
+    mu = {letter: moment_fn((letter,)) for letter in LETTERS}
 
-    max_body = 0.0
-    max_eps = 0.0
-    worst_body = ""
-    worst_eps = ""
-    checked = 0
-    for L in range(2, max_word_len + 1):
-        for start in ("x", "y"):
-            word = tuple(("x", "y")[(i + (start == "y")) % 2] for i in range(L))
-            total = DualScalar(0.0)
-            for mask in range(1 << L):
-                kept = tuple(word[i] for i in range(L) if (mask >> i) & 1)
-                weight = DualScalar(1.0)
-                for i in range(L):
-                    if not (mask >> i) & 1:
-                        weight = weight * (-mu[word[i]])
-                total = total + weight * phi(kept)
-            checked += 1
-            if abs(total.body) > max_body:
-                max_body = abs(total.body)
-                worst_body = "".join(word)
-            if abs(total.eps) > max_eps:
-                max_eps = abs(total.eps)
-                worst_eps = "".join(word)
-    return CenteredWordReport(model, checked, max_body, max_eps, worst_body, worst_eps)
+    def centered(word: tuple) -> DualScalar:
+        L = len(word)
+        total = DualScalar(0.0)
+        for mask in range(1 << L):
+            kept = tuple(word[i] for i in range(L) if (mask >> i) & 1)
+            weight = DualScalar(1.0)
+            for i in range(L):
+                if not (mask >> i) & 1:
+                    weight = weight * (-mu[word[i]])
+            total = total + weight * moment_fn(kept)
+        return total
+
+    # x y x ... then y x y ..., for each length
+    words = ((LETTERS * L)[s: s + L] for L in range(2, max_len + 1) for s in (0, 1))
+    return scan_words(centered, words)

@@ -69,6 +69,17 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _as_int(name: str, v) -> int:
+    """v as an int, if it is a finite real number equal to one; never a bool."""
+    try:
+        n = int(v)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or isinstance(v, (bool, np.bool_)) or n != v:
+        raise ConfigError(f"{name} must be an integer, got {v!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class WishartConfig:
     c: float
@@ -79,7 +90,9 @@ class WishartConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "N_list", tuple(int(n) for n in self.N_list))
+        object.__setattr__(self, "N_list", tuple(_as_int("N_list entry", n) for n in self.N_list))
+        for name in ("trials", "k_max", "seed"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if not self.c > 0:
             raise ConfigError("c must be positive")
         if not self.N_list:
@@ -92,7 +105,7 @@ class WishartConfig:
             raise ConfigError("trials must be >= 1")
         if not 1 <= self.k_max <= MAX_K:
             raise ConfigError(f"k_max must be in 1..{MAX_K}")
-        if not 0 <= int(self.seed) < 2**63:
+        if not 0 <= self.seed < 2**63:
             raise ConfigError("seed must be a non-negative 64-bit integer")
         for n in self.N_list:
             if not math.isfinite(self.c * n + self.c_prime):

@@ -267,10 +267,10 @@ def test_criterion_8_centered_alternating_words():
     survive = float("inf")
     for _ in range(5):
         lx, ly = rand_law(rng, K=3), rand_law(rng, K=3)
-        rep = centered_alternating_check(lx, ly, max_word_len=6, model="free")
+        rep = centered_alternating_check(free_mixed_moments(lx, ly), max_len=6)
         assert rep.words_checked == 10
         vanish = max(vanish, rep.max_body, rep.max_eps)
-        ctrl = centered_alternating_check(lx, ly, max_word_len=6, model="boolean")
+        ctrl = centered_alternating_check(boolean_mixed_moments(lx, ly), max_len=6)
         survive = min(survive, ctrl.max_body)
     assert vanish < 1e-9
     assert survive > 1e-3

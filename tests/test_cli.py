@@ -81,6 +81,15 @@ def test_partitions_json_format(capsys):
     assert len(obj["partitions"]) == 14
 
 
+def test_partitions_classof_json_format(capsys):
+    code, out, _ = run(capsys, "partitions", "3", "--kind", "ncl", "--classof", "1n",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 3, "kind": "ncl", "count": 2,
+                               "partitions": ["{{1,2},{2,3}}", "{{1,2,3}}"],
+                               "classof": "1n"}
+
+
 def test_partitions_csv_format(capsys):
     code, out, _ = run(capsys, "partitions", "2", "--format", "csv")
     assert code == 0
@@ -126,6 +135,26 @@ def test_law_transform_t_of_free_poisson(capsys, tmp_path):
     assert lines[0] == "n,re,im,re_prime,im_prime"
     body = [line.split(",")[1] for line in lines[1:]]
     assert body == ["1", "1", "0", "0", "0", "0"]  # T(z) = 1 + z
+
+
+TRANSFORM_LAW = {"K": 3, "m": [1.0, [2.0, 0.5], 5.0], "m_prime": [0.5, 0.0, -1.0]}
+
+
+def test_law_transform_output_is_pinned(capsys, tmp_path):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(TRANSFORM_LAW))
+    argv = ("law", "--in", str(path), "--emit", "transform", "--kind", "eta_tilde")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == ("eta_tilde (order 2)\n"
+                   "  z^0: 1 (d: 0.5)\n"
+                   "  z^1: 1+0.5j (d: -1)\n"
+                   "  z^2: 2-1j (d: -1.5-0.5j)\n")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    # each coefficient is [re, im, re', im']
+    assert json.loads(out) == {"kind": "eta_tilde", "series": {"K": 2, "coeffs": [
+        [1.0, 0.0, 0.5, 0.0], [1.0, 0.5, -1.0, 0.0], [2.0, -1.0, -1.5, -0.5]]}}
 
 
 def test_law_cumulants_of_zero_law(capsys, tmp_path):
@@ -255,6 +284,20 @@ def test_convolve_free_single_moment_laws(capsys, tmp_path):
     ]
 
 
+def test_convolve_verify_csv_appends_verdict(capsys, tmp_path):
+    px, py = tmp_path / "x.json", tmp_path / "y.json"
+    px.write_text(InfLaw(1, [1.5], [0.25]).to_json())
+    py.write_text(InfLaw(1, [2.0], [-0.5]).to_json())
+    code, out, err = run(capsys, "convolve", "--kind", "free", "--law-x", str(px),
+                         "--law-y", str(py), "--verify", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "n,m,m_prime",
+        "1,3,-0.25",
+        "# verify pass=True body=0.000e+00 eps=0.000e+00",
+    ]
+
+
 def test_convolve_verify_clamps_to_oracle_limit(capsys, tmp_path):
     path = tmp_path / "w.json"
     path.write_text(InfLaw.point_mass(1.0, K=10).to_json())
@@ -363,6 +406,23 @@ def test_wishart_writes_deterministic_csv(capsys, tmp_path):
     assert out_a.read_text() == out_b.read_text()
     lines = out_a.read_text().strip().splitlines()
     assert lines[0] == "N,k,mean,stderr,phi_pred,phi_prime_est,phi_prime_pred"
+
+
+def test_wishart_json_matches_csv(capsys):
+    flags = ("wishart", "--c", "1", "--cprime", "1", "--N", "8,16", "--trials", "20",
+             "--kmax", "2", "--seed", "5")
+    code, out, _ = run(capsys, *flags, "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["config"] == {"c": 1.0, "c_prime": 1.0, "N_list": [8, 16], "trials": 20,
+                             "k_max": 2, "seed": 5, "product": False}
+    assert [e["k"] for e in obj["extrapolation"]] == [1, 2]
+    code, out, _ = run(capsys, *flags, "--format", "csv")
+    assert code == 0
+    header, *rows = out.strip().splitlines()
+    cols = header.split(",")
+    assert [[r[c] for c in cols] for r in obj["rows"]] == [
+        [float(v) for v in row.split(",")] for row in rows]
 
 
 def test_wishart_pretty_report(capsys):

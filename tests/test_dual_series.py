@@ -73,7 +73,7 @@ def test_numpy_scalars_coerce(kind):
 
 
 def test_non_numbers_do_not_coerce():
-    for value in (np.bool_(True), "1", None, [1.0]):
+    for value in (True, False, np.bool_(True), "1", None, [1.0]):
         with pytest.raises(TypeError):
             DualScalar.of(value)
 

@@ -18,8 +18,10 @@ from infconv import (
     UT2,
     block_transform,
     block_transform_formula,
+    boolean_mixed_moments,
     centered_alternating_check,
     d_transform,
+    free_mixed_moments,
     transform,
 )
 
@@ -136,7 +138,7 @@ def test_eta_tilde_has_no_matrix_form():
 def test_centered_words_vanish_for_free_pairs():
     rng = np.random.default_rng(50)
     lawX, lawY = rand_law(rng, K=3), rand_law(rng, K=3)
-    rep = centered_alternating_check(lawX, lawY, max_word_len=5, model="free")
+    rep = centered_alternating_check(free_mixed_moments(lawX, lawY), max_len=5)
     assert rep.words_checked == 8
     assert rep.max_body < 1e-9 and rep.max_eps < 1e-9
 
@@ -144,22 +146,11 @@ def test_centered_words_vanish_for_free_pairs():
 def test_centered_words_survive_boolean_pairs():
     rng = np.random.default_rng(50)
     lawX, lawY = rand_law(rng, K=3), rand_law(rng, K=3)
-    rep = centered_alternating_check(lawX, lawY, max_word_len=5, model="boolean")
+    rep = centered_alternating_check(boolean_mixed_moments(lawX, lawY), max_len=5)
     assert rep.max_body > 1e-6
-
-
-def test_centered_report_json_keys():
-    law = InfLaw.point_mass(1.0, K=3)
-    rep = centered_alternating_check(law, law, max_word_len=3, model="free")
-    assert set(rep.to_json_obj()) == {
-        "model", "words_checked", "max_body", "max_eps",
-        "worst_body_word", "worst_eps_word",
-    }
 
 
 def test_centered_check_guards():
     law = InfLaw.point_mass(1.0, K=3)
     with pytest.raises(SizeLimitError):
-        centered_alternating_check(law, law, max_word_len=13)
-    with pytest.raises(InvalidInputError):
-        centered_alternating_check(law, law, max_word_len=4, model="classical")
+        centered_alternating_check(free_mixed_moments(law, law), max_len=13)

@@ -58,6 +58,23 @@ def test_trials_and_depth_bounds():
         WishartConfig(c=1.0, N_list=(16, 32), trials=10, k_max=7)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("k_max", 2.5), ("trials", 2.5), ("seed", 1.5), ("N_list", (10.7, 20)),
+    ("trials", "4"), ("seed", None), ("k_max", math.inf), ("seed", math.nan),
+    ("N_list", (16, math.inf)), ("trials", True),
+])
+def test_integer_fields_must_be_integers(field, value):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        WishartConfig(c=1.0, **{"N_list": (16, 32), "trials": 10, field: value})
+
+
+@pytest.mark.parametrize("v", [4, 4.0, np.int64(4)])
+def test_integral_values_are_stored_as_int(v):
+    cfg = WishartConfig(c=1.0, N_list=(v, 2 * v), trials=v, k_max=v, seed=v)
+    assert (cfg.N_list, cfg.trials, cfg.k_max, cfg.seed) == ((4, 8), 4, 4, 4)
+    assert all(type(x) is int for x in (*cfg.N_list, cfg.trials, cfg.k_max, cfg.seed))
+
+
 def test_rows_must_stay_rectangular():
     # c N + c' must round to a positive number of rows at every size
     with pytest.raises(ConfigError):
