@@ -224,6 +224,25 @@ CATALOGUE = (
         "    width = _pool_width() + 1\n",
         ("tests/test_wishart.py",),
     ),
+    # -- checks: the route pairs behind selftest and the acceptance gate --
+    Mutation(
+        "checks-gap-body-only", "src/infconv/checks.py",
+        "    return _worst(a.max_abs_diff(b))\n",
+        "    return a.max_abs_diff(b)[0]\n",
+        ("tests/test_cli.py::test_selftest_reports_an_eps_drift",),
+    ),
+    Mutation(
+        "checks-worst-drops-nan", "src/infconv/checks.py",
+        "    return float(np.max(list(values)))\n",
+        "    return float(max(values))\n",
+        ("tests/test_cli.py::test_a_nan_eps_part_fails_selftest_and_the_gate",),
+    ),
+    Mutation(
+        "selftest-ignores-control-floor", "src/infconv/checks.py",
+        "if floor is not None and not devs.min() >= floor:",
+        "if False:",
+        ("tests/test_cli.py::test_selftest_reports_a_control_that_vanishes",),
+    ),
     # -- known survivors --
     Mutation(
         "monotone-xy-as-yx", "src/infconv/convolve.py",

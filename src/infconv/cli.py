@@ -19,11 +19,11 @@ import sys
 
 import numpy as np
 
+from . import checks
 from . import cumulants as _cum
 from . import laws as _laws
-from .convolve import (ORACLE_MAX_K, ProductKind, boolean_mixed_moments,
-                       convolve_by_transform, free_mixed_moments, verify)
-from .dual import DualRecord, DualScalar
+from .convolve import ORACLE_MAX_K, ProductKind, convolve_by_transform, verify
+from .dual import DualRecord
 from .errors import (
     ConfigError,
     InfconvError,
@@ -38,7 +38,6 @@ from .partitions import (
     linked_class,
     parse_partition_text,
 )
-from .series import DualSeries
 from .wishart import WishartConfig, estimate_moments, product_experiment
 
 _CONFIG_KEYS = {
@@ -265,11 +264,9 @@ def cmd_convolve(args, config: dict, out) -> int:
 # -- wishart ---------------------------------------------------------------------
 
 
-def _parse_sizes(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
+def _parse_sizes(text: str) -> tuple:
     try:
-        return tuple(int(p) for p in str(text).split(",") if p.strip())
+        return tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
         raise ConfigError(f"bad size list {text!r}") from exc
 
@@ -316,181 +313,12 @@ def cmd_wishart(args, config: dict, out) -> int:
 # -- selftest --------------------------------------------------------------------
 
 
-def _rand_law(rng, K=8, m1_lo=0.7, m1_hi=1.3) -> InfLaw:
-    # first moment kept away from 0: S/T reversion conditioning degrades
-    # sharply as the mean shrinks
-    m = rng.uniform(-1, 1, K)
-    mp = rng.uniform(-1, 1, K)
-    m[0] = rng.uniform(m1_lo, m1_hi)
-    return InfLaw.from_moments(
-        [DualScalar(complex(a), complex(b)) for a, b in zip(m, mp)]
-    )
-
-
-def _selftest_checks():
-    from .partitions import non_minimal_elements
-    from .triangular import block_transform, block_transform_formula, \
-        centered_alternating_check
-
-    rng = np.random.default_rng(314159)
-
-    def partition_counts():
-        catalan = [1]
-        for n in range(1, 9):
-            catalan.append(sum(catalan[i] * catalan[n - 1 - i] for i in range(n)))
-        for n in range(1, 9):
-            if len(enumerate_nc(n)) != catalan[n]:
-                return f"NC({n}) count mismatch"
-        schroder = [1]
-        for n in range(1, 8):
-            schroder.append(schroder[n - 1]
-                            + sum(schroder[k] * schroder[n - 1 - k] for k in range(n)))
-        for n in range(1, 8):
-            if len(enumerate_ncl(n)) != schroder[n - 1]:
-                return f"NCL({n}) count mismatch"
-        sigma = SetPartition.of(3, [[1, 2, 3]])
-        if len(linked_class(sigma)) != 2:
-            return "linked class of the full block on 3 points"
-        if non_minimal_elements(parse_partition_text("{{1,2},{2,3}}", linked=True)) != (3,):
-            return "non-minimal elements"
-        return None
-
-    def series_roundtrips():
-        for _ in range(10):
-            f = DualSeries.from_coeffs(
-                [DualScalar(complex(a), complex(b))
-                 for a, b in zip(rng.uniform(-1, 1, 9), rng.uniform(-1, 1, 9))]
-            )
-            f.body[0] = 0.4 + rng.uniform(0, 0.5)
-            g = f * f.inv()
-            if not g.almost_equal(DualSeries.constant(1.0, g.order), 1e-10):
-                return "mul/inv roundtrip"
-            h = f.copy()
-            h.body[0] = 0.0
-            h.eps[0] = 0.0
-            h.body[1] = 1.0 + rng.uniform(0, 1)
-            r = h.reversion()
-            if not h.compose(r).almost_equal(DualSeries.identity(h.order), 1e-10):
-                return "compose/reversion roundtrip"
-        return None
-
-    def transform_roundtrips():
-        for _ in range(10):
-            law = _rand_law(rng)
-            for kind in TransformKind:
-                f = _laws.transform(kind, law)
-                back = _laws.law_from_transform(kind, f)
-                db, de = law.truncated(back.K).max_abs_diff(back)
-                if db > 1e-10 or de > 1e-10:
-                    return f"{kind.value} roundtrip ({db:.2e}, {de:.2e})"
-                d = _laws.d_transform(kind, law)
-                _, eps = f.eps_split()
-                db, _ = d.max_abs_diff(eps)
-                if db > 1e-9:
-                    return f"d-{kind.value} vs eps part ({db:.2e})"
-        return None
-
-    def cumulant_routes():
-        fp = _cum.constant_cumulant_law(1.0, 0.0, K=8)
-        catalan = [1, 2, 5, 14, 42, 132, 429, 1430]
-        if any(abs(fp.m[i] - catalan[i]) > 1e-10 for i in range(8)):
-            return "free Poisson(1) moments"
-        for _ in range(5):
-            law = _rand_law(rng)
-            cv = _cum.cumulants_from_moments(law)
-            back = _cum.moments_from_cumulants(cv)
-            db, de = law.max_abs_diff(back)
-            if db > 1e-10 or de > 1e-10:
-                return "moment/cumulant roundtrip"
-            tv = _cum.t_coeffs_from_moments(law)
-            backt = _cum.moments_from_t(tv)
-            db, de = law.max_abs_diff(backt)
-            if db > 1e-9 or de > 1e-9:
-                return "moment/t roundtrip"
-            ka = _cum.kappa_from_t(tv, route="linked")
-            kb = _cum.kappa_from_t(tv, route="interval")
-            if max(abs(x - y) for x, y in zip(ka.kappa, kb.kappa)) > 1e-9:
-                return "t-to-cumulant routes"
-        return None
-
-    def convolution_theorems():
-        for _ in range(5):
-            lx, ly = _rand_law(rng, K=6), _rand_law(rng, K=6)
-            for kind in ProductKind:
-                orders = ("yx", "xy") if kind is ProductKind.MONOTONE else ("yx",)
-                for order in orders:
-                    rep = verify(kind, lx, ly, 6, order=order)
-                    if not rep.passed:
-                        return f"{kind.value} ({order}) deviates {rep.deviation_body:.2e}"
-        lx, ly = _rand_law(rng, K=6), _rand_law(rng, K=6)
-        phi = boolean_mixed_moments(lx, ly)
-        wrong = InfLaw.from_moments([phi(("x", "y") * k) for k in range(1, 7)])
-        right = convolve_by_transform(ProductKind.FREE, lx, ly, 6)
-        if wrong.max_abs_diff(right)[0] < 1e-3:
-            return "negative control did not deviate"
-        return None
-
-    def triangular_blocks():
-        for _ in range(5):
-            law = _rand_law(rng)
-            b = DualSeries.from_coeffs([0] + [complex(v) for v in rng.uniform(-0.8, 0.8, 6)])
-            c = DualSeries.from_coeffs([0] + [complex(v) for v in rng.uniform(-0.8, 0.8, 6)])
-            for kind in (TransformKind.PSI, TransformKind.ETA_PLAIN, TransformKind.KAPPA,
-                         TransformKind.RHO, TransformKind.S, TransformKind.T):
-                got = block_transform(kind, law, b, c)
-                want = block_transform_formula(kind, law, b, c)
-                if got.max_abs_diff(want) > 1e-9:
-                    return f"{kind.value} block routes"
-        lx, ly = _rand_law(rng, K=3), _rand_law(rng, K=3)
-        rep = centered_alternating_check(free_mixed_moments(lx, ly), max_len=5)
-        if rep.max_body > 1e-9 or rep.max_eps > 1e-9:
-            return "free centered words"
-        repb = centered_alternating_check(boolean_mixed_moments(lx, ly), max_len=5)
-        if repb.max_body < 1e-6:
-            return "boolean centered words should not vanish"
-        return None
-
-    def wishart_limit():
-        law = _cum.constant_cumulant_law(1.0, 2.0, K=8)
-        tv = _cum.t_coeffs_from_moments(law)
-        want_t = [1.0, 1.0] + [0.0] * 6
-        want_tp = [2.0] + [0.0] * 7
-        if max(abs(a - b) for a, b in zip(tv.t, want_t)) > 1e-10:
-            return "limit t-vector"
-        if max(abs(a - b) for a, b in zip(tv.t_prime, want_tp)) > 1e-10:
-            return "limit t-prime vector"
-        return None
-
-    def wishart_smoke():
-        cfg = WishartConfig(c=1.0, c_prime=1.0, N_list=(48, 96), trials=120,
-                            k_max=2, seed=20260814)
-        a = estimate_moments(cfg)
-        b = estimate_moments(cfg)
-        if a.to_json() != b.to_json():
-            return "nondeterministic estimates"
-        row = next(r for r in a.rows if r.N == 96 and r.k == 1)
-        if abs(row.mean - 97 / 96) > 4 * row.stderr:
-            return "k=1 mean off its exact value"
-        return None
-
-    return [
-        ("partition counts", partition_counts),
-        ("series roundtrips", series_roundtrips),
-        ("transform roundtrips and derivatives", transform_roundtrips),
-        ("cumulant and t-coefficient routes", cumulant_routes),
-        ("convolution theorems", convolution_theorems),
-        ("triangular block routes", triangular_blocks),
-        ("wishart limit t-vector", wishart_limit),
-        ("wishart monte carlo smoke", wishart_smoke),
-    ]
-
-
 def cmd_selftest(args, config: dict, out) -> int:
-    checks = _selftest_checks()
+    rng = np.random.default_rng(314159)
     failures = 0
-    for name, fn in checks:
+    for name, entries in checks.SELFTEST:
         try:
-            msg = fn()
+            msg = checks.first_failure(rng, entries)
         except InfconvError as exc:
             msg = str(exc)
         if msg is None:
@@ -498,7 +326,7 @@ def cmd_selftest(args, config: dict, out) -> int:
         else:
             failures += 1
             out.write(f"FAIL {name}: {msg}\n")
-    out.write(f"{len(checks) - failures} passed, {failures} failed\n")
+    out.write(f"{len(checks.SELFTEST) - failures} passed, {failures} failed\n")
     return 1 if failures else 0
 
 

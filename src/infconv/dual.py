@@ -6,11 +6,12 @@ eps component of a product obeys the Leibniz rule.
 
 ``DualRecord`` is the one shape of the package's K-long dual sequences
 (moments, free cumulants, t-coefficients): K and two complex arrays, body
-and eps, with one order and length check and one JSON encoding.
+and eps, with one order and length check, one comparison and one JSON encoding.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from numbers import Number
@@ -31,13 +32,15 @@ def json_order(x) -> int:
 
 
 def json_complex(x) -> complex:
-    """A complex number read from JSON: a number or [re, im], with no bool part."""
+    """A finite complex number read from JSON: a number or [re, im], with no bool part."""
     parts = x if isinstance(x, list) and len(x) == 2 else [x]
     if all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
         try:
-            return complex(*parts)
-        except OverflowError:  # an integer beyond the float range
-            pass
+            z = complex(*parts)
+        except OverflowError:  # an integer beyond the float range, rejected below
+            z = complex("nan")
+        if cmath.isfinite(z):  # json reads NaN, Infinity and 1e400 as floats
+            return z
     raise InvalidInputError(f"bad number entry: {x!r}")
 
 
@@ -127,6 +130,12 @@ class DualRecord:
             raise InvalidInputError(f"{body} and {eps} must have length K")
         object.__setattr__(self, body, b)
         object.__setattr__(self, eps, e)
+
+    def max_abs_diff(self, other: "DualRecord") -> tuple[float, float]:
+        """Largest |body| and |eps| gaps over the first min(K) entries."""
+        k = min(self.K, other.K)
+        body, eps = ((getattr(self, a)[:k] - getattr(other, a)[:k]) for a in self.ARRAYS)
+        return float(np.max(np.abs(body))), float(np.max(np.abs(eps)))
 
     def to_json_obj(self) -> dict:
         obj = {"K": self.K}

@@ -85,12 +85,6 @@ class InfLaw(DualRecord):
             raise InvalidInputError("cannot extend a law by truncation")
         return InfLaw(K, self.m[:K], self.m_prime[:K])
 
-    def max_abs_diff(self, other: "InfLaw") -> tuple[float, float]:
-        k = min(self.K, other.K)
-        db = float(np.max(np.abs(self.m[:k] - other.m[:k])))
-        de = float(np.max(np.abs(self.m_prime[:k] - other.m_prime[:k])))
-        return db, de
-
     # -- serialization ----------------------------------------------------
 
     @staticmethod

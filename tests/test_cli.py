@@ -4,12 +4,14 @@ Everything runs in-process through ``main(argv)`` so exit codes and the
 stdout/stderr split are observable without spawning subprocesses.
 """
 
+import importlib
 import json
 
+import numpy as np
 import pytest
 
 import infconv
-from infconv import constant_cumulant_law
+from infconv import checks, constant_cumulant_law, convolve, law_from_transform
 from infconv.cli import main
 from infconv.laws import InfLaw
 
@@ -189,7 +191,9 @@ def test_law_malformed_json_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "law", "--in", str(path), "--emit", "cumulants")
     assert code == 2
     assert "malformed" in err
-    for bad in (b'{"K": 1e400, "m": [1.0]}', b"\xff\xfe"):  # K overflows; not UTF-8
+    for bad in (b'{"K": 1e400, "m": [1.0]}', b"\xff\xfe",  # K overflows; not UTF-8
+                b'{"K": 3, "m": [NaN, 2.0, 5.0]}', b'{"K": 1, "m": [1e400]}',
+                b'{"K": 1, "m": [1.0], "m_prime": [[0, -Infinity]]}'):
         path.write_bytes(bad)
         code, _, err = run(capsys, "law", "--in", str(path), "--emit", "cumulants")
         assert code == 2
@@ -500,3 +504,48 @@ def test_selftest_passes(capsys):
     lines = out.strip().splitlines()
     assert lines[-1] == "8 passed, 0 failed"
     assert all(line.startswith("ok") for line in lines[:-1])
+
+
+def test_selftest_reports_an_eps_drift(capsys, monkeypatch):
+    # a route whose eps part alone moves by 1e-6 must fail its selftest line
+    def drifted(kind, series):
+        law = law_from_transform(kind, series)
+        return InfLaw(law.K, law.m, law.m_prime + 1e-6)
+
+    monkeypatch.setattr(checks, "law_from_transform", drifted)
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert "FAIL transform roundtrips and derivatives: " in out
+    assert out.strip().splitlines()[-1] == "7 passed, 1 failed"
+
+
+@pytest.mark.parametrize("module, route, line, criterion", [
+    (convolve, "convolve_by_transform", "convolution theorems",
+     "test_criterion_4_convolution_theorems"),
+    (checks, "law_from_transform", "transform roundtrips and derivatives",
+     "test_criterion_2_algebra_roundtrips"),
+], ids=["criterion-4", "criterion-2"])
+def test_a_nan_eps_part_fails_selftest_and_the_gate(capsys, monkeypatch, module, route,
+                                                    line, criterion):
+    # Python's max(0.5, nan) is 0.5: a NaN eps gap beside a finite body gap must fail
+    real = getattr(module, route)
+
+    def nan_eps(*args, **kwargs):
+        law = real(*args, **kwargs)
+        return InfLaw(law.K, law.m, np.full(law.K, np.nan))
+
+    monkeypatch.setattr(module, route, nan_eps)
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert f"FAIL {line}: " in out
+    with pytest.raises(AssertionError):
+        getattr(importlib.import_module("test_acceptance"), criterion)()
+
+
+def test_selftest_reports_a_control_that_vanishes(capsys, monkeypatch):
+    # with the Boolean model swapped for the free one, the controls drop to 0
+    monkeypatch.setattr(checks, "boolean_mixed_moments", checks.free_mixed_moments)
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert "FAIL convolution theorems: product_controls control " in out
+    assert out.strip().splitlines()[-1] == "5 passed, 3 failed"

@@ -28,18 +28,10 @@ from infconv import (
     shifted,
     verify,
 )
+from infconv.checks import rand_law
 
 FUSS_CATALAN = [1.0, 3.0, 12.0, 55.0, 273.0, 1428.0]
 CATALAN = [1.0, 2.0, 5.0, 14.0, 42.0, 132.0]
-
-
-def rand_law(rng, K=6, lo=0.7, hi=1.3):
-    m = rng.uniform(-1, 1, K)
-    mp = rng.uniform(-1, 1, K)
-    m[0] = rng.uniform(lo, hi)
-    return InfLaw.from_moments(
-        [DualScalar(complex(a), complex(b)) for a, b in zip(m, mp)]
-    )
 
 
 # -- mixed moment models ------------------------------------------------------
@@ -48,7 +40,7 @@ def test_free_alternating_fourth_moment():
     # phi(xyxy) = m2(x) m1(y)^2 + m1(x)^2 m2(y) - m1(x)^2 m1(y)^2,
     # valid verbatim over dual scalars
     rng = np.random.default_rng(30)
-    lawX, lawY = rand_law(rng), rand_law(rng)
+    lawX, lawY = rand_law(rng, K=6), rand_law(rng, K=6)
     phi = free_mixed_moments(lawX, lawY)
     got = phi(("x", "y", "x", "y"))
     m1x, m2x = lawX.dual_moment(1), lawX.dual_moment(2)
@@ -59,7 +51,7 @@ def test_free_alternating_fourth_moment():
 
 def test_free_single_letter_words_return_plain_moments():
     rng = np.random.default_rng(32)
-    law = rand_law(rng)
+    law = rand_law(rng, K=6)
     phi = free_mixed_moments(law, law)
     for k in range(1, 5):
         assert phi(("x",) * k).almost_equal(law.dual_moment(k), 1e-10)
@@ -77,7 +69,7 @@ def test_free_word_too_long_for_law():
 def test_monotone_word_confluence():
     """Peeling runs in any order gives the same value."""
     rng = np.random.default_rng(33)
-    lawA, lawY = rand_law(rng), rand_law(rng)
+    lawA, lawY = rand_law(rng, K=6), rand_law(rng, K=6)
     word = ("y", "a", "y", "y", "a", "a", "y")
     base = monotone_word_moment(word, lawA, lawY)
     for trial in range(50):
@@ -218,14 +210,14 @@ def test_free_transform_route_at_a_single_moment():
 
 def test_free_product_with_unit_point_mass_is_identity():
     rng = np.random.default_rng(34)
-    law = rand_law(rng)
+    law = rand_law(rng, K=6)
     unit = InfLaw.point_mass(1.0, K=6)
     assert max(oracle_free_product(law, unit, 6).max_abs_diff(law)) < 1e-12
 
 
 def test_monotone_product_with_unit_lower_leg_is_identity():
     rng = np.random.default_rng(35)
-    law = rand_law(rng)
+    law = rand_law(rng, K=6)
     unit = InfLaw.point_mass(1.0, K=6)
     got = oracle_monotone_product(unit, law, 6)
     assert got.max_abs_diff(law) == (0.0, 0.0)
@@ -233,7 +225,7 @@ def test_monotone_product_with_unit_lower_leg_is_identity():
 
 def test_boolean_product_with_zero_leg_shifts_the_other():
     rng = np.random.default_rng(36)
-    law = rand_law(rng)
+    law = rand_law(rng, K=6)
     zero = InfLaw.point_mass(0.0, K=6)
     got = oracle_boolean_product(zero, law, 6)
     assert got.max_abs_diff(shifted(law, 1.0)) == (0.0, 0.0)
@@ -245,7 +237,7 @@ def test_boolean_product_with_zero_leg_shifts_the_other():
 def test_oracle_agrees_with_transform(kind):
     rng = np.random.default_rng(37)
     for _ in range(5):
-        lawX, lawY = rand_law(rng), rand_law(rng)
+        lawX, lawY = rand_law(rng, K=6), rand_law(rng, K=6)
         report = verify(kind, lawX, lawY, 6)
         assert report.passed, report
         assert report.deviation_body < 1e-8
@@ -254,7 +246,7 @@ def test_oracle_agrees_with_transform(kind):
 
 def test_monotone_orders_agree_with_their_oracles():
     rng = np.random.default_rng(38)
-    lawX, lawY = rand_law(rng), rand_law(rng)
+    lawX, lawY = rand_law(rng, K=6), rand_law(rng, K=6)
     for order in ("yx", "xy"):
         report = verify(ProductKind.MONOTONE, lawX, lawY, 6, order=order)
         assert report.passed, report
@@ -263,7 +255,7 @@ def test_monotone_orders_agree_with_their_oracles():
 def test_wrong_independence_is_loud():
     # feeding a Boolean pair to the free identity must not look correct
     rng = np.random.default_rng(31)
-    lawX, lawY = rand_law(rng), rand_law(rng)
+    lawX, lawY = rand_law(rng, K=6), rand_law(rng, K=6)
     bo = oracle_boolean_product(lawX, lawY, 6)
     ft = convolve_by_transform(ProductKind.FREE, lawX, lawY, 6)
     assert max(bo.max_abs_diff(ft)) > 1.0
@@ -271,7 +263,7 @@ def test_wrong_independence_is_loud():
 
 def test_monotone_role_swap_is_loud():
     rng = np.random.default_rng(31)
-    lawX, lawY = rand_law(rng), rand_law(rng)
+    lawX, lawY = rand_law(rng, K=6), rand_law(rng, K=6)
     mo = oracle_monotone_product(lawX, lawY, 6, order="yx")
     swapped = convolve_by_transform(ProductKind.MONOTONE, lawY, lawX, 6, order="yx")
     assert max(mo.max_abs_diff(swapped)) > 1.0

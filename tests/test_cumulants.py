@@ -37,6 +37,7 @@ from infconv import (
     t_coeffs_from_moments,
     t_pi_value,
 )
+from infconv.checks import catalan_schroder, rand_law
 from infconv.cumulants import (
     _linked_full_types,
     _mixed_level,
@@ -54,15 +55,6 @@ def rand_complex_law(rng, K):
     mp = rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K)
     m[0] = rng.uniform(0.7, 1.3)
     return InfLaw(K, m, mp)
-
-
-def rand_law(rng, K=8, lo=0.7, hi=1.3):
-    m = rng.uniform(-1, 1, K)
-    mp = rng.uniform(-1, 1, K)
-    m[0] = rng.uniform(lo, hi)
-    return InfLaw.from_moments(
-        [DualScalar(complex(a), complex(b)) for a, b in zip(m, mp)]
-    )
 
 
 # -- moments <-> cumulants ------------------------------------------------------
@@ -328,19 +320,9 @@ def test_full_block_type_table_matches_connected_ncl(n):
     assert all(idx == _t_indices(first[key]) for key, idx, _ in table)
 
 
-def _catalan_schroder(n):
-    # the Catalan and large Schroeder recursions of acceptance criterion 1
-    catalan, schroder = [1], [1]
-    for m in range(1, n + 1):
-        catalan.append(sum(catalan[i] * catalan[m - 1 - i] for i in range(m)))
-        schroder.append(schroder[m - 1]
-                        + sum(schroder[k] * schroder[m - 1 - k] for k in range(m)))
-    return catalan, schroder
-
-
 @pytest.mark.parametrize("n", [9, 10])
 def test_type_table_totals_beyond_enumeration(n):
-    catalan, schroder = _catalan_schroder(n)
+    catalan, schroder = catalan_schroder(n)
     assert sum(count for _, count in _nc_types(n)) == catalan[n]
     assert sum(count for _, count in _ncl_types(n)) == schroder[n - 1]
     # the linked class of the full block is in bijection with NC(n - 1)

@@ -14,6 +14,7 @@ from infconv import (
     constant_cumulant_law,
     shifted,
 )
+from infconv.checks import rand_series
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -100,16 +101,13 @@ def test_scalar_inverse_roundtrip(a):
 # -- series layer -------------------------------------------------------------
 
 def _rand_series(rng, order=8, const=None):
-    body = rng.uniform(-1, 1, order + 1)
-    eps = rng.uniform(-1, 1, order + 1)
+    f = rand_series(rng, order)
     if const is not None:
-        body[0] = const
+        f.body[0] = const
         if const == 0.0:
             # a vanishing series vanishes in both components
-            eps[0] = 0.0
-    return DualSeries.from_coeffs(
-        [DualScalar(complex(a), complex(b)) for a, b in zip(body, eps)]
-    )
+            f.eps[0] = 0.0
+    return f
 
 
 def test_geometric_series_inverse():
@@ -252,6 +250,9 @@ def test_from_json_rejects_malformed_input():
                  '{"K": 0, "coeffs": [["1", 0, 0, 0]]}',
                  '{"K": 0, "coeffs": [[true, false, 0, 0]]}',
                  '{"K": 0, "coeffs": [[' + "9" * 400 + ', 0, 0, 0]]}',  # past the float range
+                 '{"K": 0, "coeffs": [[NaN, 0, 0, 0]]}',
+                 '{"K": 0, "coeffs": [[0, 0, 1e400, 0]]}',  # json reads 1e400 as inf
+                 '{"K": 0, "coeffs": [[0, 0, 0, -Infinity]]}',
                  '{"K": 1, "coeffs": [[1, 0, 0, 0]]}',
                  "[" * 100_000):                       # nested too deep for the JSON parser
         with pytest.raises(InvalidInputError):

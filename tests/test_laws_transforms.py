@@ -25,21 +25,13 @@ from infconv import (
     t_transform,
     transform,
 )
+from infconv.checks import rand_law
 
 CATALAN = [1.0, 2.0, 5.0, 14.0, 42.0, 132.0, 429.0, 1430.0]
 
 
 def free_poisson_one(K=8):
     return InfLaw.from_moments(CATALAN[:K])
-
-
-def rand_law(rng, K=8, lo=0.7, hi=1.3):
-    m = rng.uniform(-1, 1, K)
-    mp = rng.uniform(-1, 1, K)
-    m[0] = rng.uniform(lo, hi)
-    return InfLaw.from_moments(
-        [DualScalar(complex(a), complex(b)) for a, b in zip(m, mp)]
-    )
 
 
 # -- construction -------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Enumeration and queries for non-crossing and linked partitions.
 
-Counts are pinned against the classic recursions computed inline:
+Counts are pinned against the classic recursions in `infconv.checks`:
 Catalan for the plain non-crossing family, large Schroeder (shifted by
 one) for the linked family.
 """
@@ -24,34 +24,20 @@ from infconv import (
     non_minimal_elements,
     parse_partition_text,
 )
-
-
-def catalan(n):
-    row = [1]
-    for m in range(1, n + 1):
-        row.append(sum(row[i] * row[m - 1 - i] for i in range(m)))
-    return row[n]
-
-
-def schroder(n):
-    # large Schroeder: 1, 2, 6, 22, 90, 394, 1806, ...
-    row = [1]
-    for m in range(1, n + 1):
-        row.append(row[m - 1] + sum(row[k] * row[m - 1 - k] for k in range(m)))
-    return row[n]
+from infconv.checks import catalan_schroder
 
 
 # -- counts -------------------------------------------------------------------
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_nc_counts_match_catalan(n):
-    assert len(enumerate_nc(n)) == catalan(n)
+    assert len(enumerate_nc(n)) == catalan_schroder(n)[0][n]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_ncl_counts_match_schroder(n):
     # linked partitions of [n] are counted by the (n-1)st large Schroeder number
-    assert len(enumerate_ncl(n)) == schroder(n - 1)
+    assert len(enumerate_ncl(n)) == catalan_schroder(n)[1][n - 1]
 
 
 def test_ncl_frozen_small_counts():

@@ -24,18 +24,10 @@ from infconv import (
     free_mixed_moments,
     transform,
 )
+from infconv.checks import rand_law, rand_series
 
 BLOCK_KINDS = [TransformKind.PSI, TransformKind.ETA_PLAIN, TransformKind.KAPPA,
                TransformKind.RHO, TransformKind.S, TransformKind.T]
-
-
-def rand_law(rng, K=8, lo=0.7, hi=1.3):
-    m = rng.uniform(-1, 1, K)
-    mp = rng.uniform(-1, 1, K)
-    m[0] = rng.uniform(lo, hi)
-    return InfLaw.from_moments(
-        [DualScalar(complex(a), complex(b)) for a, b in zip(m, mp)]
-    )
 
 
 def rand_plain(rng, order=6):
@@ -59,10 +51,7 @@ def test_entries_must_be_plain():
 
 def test_dual_series_roundtrip():
     rng = np.random.default_rng(45)
-    f = DualSeries.from_coeffs(
-        [DualScalar(complex(x), complex(y))
-         for x, y in zip(rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6))]
-    )
+    f = rand_series(rng, order=5)
     m = UT2.from_dual_series(f)
     assert m.to_dual_series().almost_equal(f, 0.0)
 

@@ -55,6 +55,8 @@ FILES = {
     "ragged.json": json.dumps({"K": 2, "m": [1.0], "m_prime": [0.0, 0.0]}),
     "kinf.json": '{"K": 1e400, "m": [1.0]}',
     "kfrac.json": '{"K": 2.5, "m": [1, 2], "m_prime": [0, 0]}',
+    "nan.json": '{"K": 3, "m": [NaN, 2.0, 5.0]}',
+    "infinity.json": '{"K": 2, "m": [1.0, 2.0], "m_prime": [Infinity, -Infinity]}',
     "cfg.txt": "format=json\nK=3\nkind=t\n",
     "cfg_noeq.txt": "format json\n",
     "cfg_unknown.txt": "colour=red\n",
@@ -94,7 +96,9 @@ def grid() -> list[tuple[list[str], str]]:
               ["law", "--in", "ragged.json", "--emit", "cumulants"],
               ["law", "--in", "missing.json", "--emit", "cumulants"],
               ["law", "--in", "kinf.json", "--emit", "cumulants"],
-              ["law", "--in", "kfrac.json", "--emit", "cumulants"]]
+              ["law", "--in", "kfrac.json", "--emit", "cumulants"],
+              ["law", "--in", "nan.json", "--emit", "tcoeffs"],
+              ["law", "--in", "infinity.json", "--emit", "tcoeffs"]]
     pairs = (("real6.json", "real6.json"), ("cplx6.json", "real6.json"),
              ("k1x.json", "k1y.json"), ("cat10.json", "pm10.json"))
     for x, y in pairs:
