@@ -159,8 +159,8 @@ CATALOGUE = (
     ),
     Mutation(
         "mixed-product-imag-sign", "src/infconv/cumulants.py",
-        "br, bi = br * xr - bi * xi, br * xi + bi * xr",
-        "br, bi = br * xr - bi * xi, br * xi - bi * xr",
+        "b, e = b * fb, b * fe + e * fb",
+        "b, e = b * fb, b * fe + e * fb.conj()",
         ("tests/test_cumulants.py::test_mixed_plan_matches_literal_linked_sum",),
     ),
     Mutation(
@@ -175,6 +175,17 @@ CATALOGUE = (
         "                if v.body == 0:\n",
         "                if False:\n",
         ("tests/test_cumulants.py",),
+    ),
+    Mutation(
+        "scan-drops-nan", "src/infconv/cumulants.py",
+        "if not (isnan(max_body) or abs(val.body) <= max_body):\n"
+        "            max_body, wb = abs(val.body), word\n"
+        "        if not (isnan(max_eps) or abs(val.eps) <= max_eps):",
+        "if abs(val.body) > max_body:\n"
+        "            max_body, wb = abs(val.body), word\n"
+        "        if abs(val.eps) > max_eps:",
+        ("tests/test_cumulants.py::test_scan_words_holds_the_first_nan",
+         "tests/test_cli.py::test_nan_mixed_words_fail_selftest_and_the_gate"),
     ),
     # -- triangular: centered alternating words --
     Mutation(
@@ -210,6 +221,14 @@ CATALOGUE = (
         "            acc.eps[0] += self.eps[k]\n",
         "",
         ("tests/test_dual_series.py",),
+    ),
+    Mutation(
+        "shift-down-tolerance", "src/infconv/series.py",
+        "        if self.body[0] != 0 or self.eps[0] != 0:\n"
+        "            raise MathDomainError(\"shift_down",
+        "        if abs(self.body[0]) > 1e-12 or abs(self.eps[0]) > 1e-12:\n"
+        "            raise MathDomainError(\"shift_down",
+        ("tests/test_dual_series.py::test_shift_down_requires_vanishing_constant",),
     ),
     # -- wishart --
     Mutation(

@@ -66,14 +66,12 @@ def free_mixed_moments(lawX: InfLaw, lawY: InfLaw) -> MomentFn:
     organized as the usual first-block recursion with memoized contiguous
     subwords.  The recursion runs on raw (body, eps) pairs in the operation
     order of DualScalar's product and sum; only the returned value is a
-    DualScalar.  The cumulants stay numpy scalars, as cumulants_from_moments
-    returns them: make_mixed_t inverts moments, and 1/z rounds differently
-    for numpy and Python complex scalars.
+    DualScalar.
     """
     cums = {}
     for letter, law in (("x", lawX), ("y", lawY)):
         cv = cumulants_from_moments(law)
-        cums[letter] = (list(cv.kappa), list(cv.kappa_prime))
+        cums[letter] = (cv.kappa.tolist(), cv.kappa_prime.tolist())
     memo: dict[tuple, tuple] = {(): (1.0, 0.0)}
 
     def pair(word: tuple) -> tuple:

@@ -34,7 +34,7 @@ derived from the NC(n - 1) types that the interval route sums.  Words in
 several letters (make_mixed_t, t_pi_value) cannot be grouped; make_mixed_t
 sums the literal NCL(n) for all 2^n words in x, y of one length at once,
 along cached factor plans (_mixed_plan) laid out as index arrays
-(_mixed_level).
+(_mixed_level), multiplied as complex arrays.
 
 Both freeness word checks take a mixed-moment model (MomentFn) and return a
 WordCheckReport from one scan, scan_words: mixed_vanishing_check here, over
@@ -48,7 +48,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, isnan
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -423,8 +423,8 @@ def make_mixed_t(moment_fn: MomentFn) -> TFn:
     every other partition of NCL(n) from its moment, along the factor plans
     of _mixed_level(n).  Mixed words have no block-type grouping, so the
     plans run over the literal NCL(n), column by column for all words, as
-    dual products on split real and imaginary parts in t_pi_value's factor
-    order.  Both single-letter means must have invertible body.
+    dual products of complex arrays in t_pi_value's factor order.  Both
+    single-letter means must have invertible body.
     """
     cache: dict[Word, DualScalar] = {}
 
@@ -440,24 +440,17 @@ def make_mixed_t(moment_fn: MomentFn) -> TFn:
         known = [cache[w] for L in range(1, n) for w in product(LETTERS, repeat=L)]
         body = np.array([v.body for v in known], dtype=complex)
         eps = np.array([v.eps for v in known], dtype=complex)
-        parts = (body.real, body.imag, eps.real, eps.imag)
         rest = np.empty((2, len(words)), dtype=complex)
         step = max(2, _LEVEL_CHUNK // M.shape[1])
         for lo in range(0, len(words), step):
             Gc = G[:, lo: lo + step]
-            br = np.ones((M.shape[1], Gc.shape[1]))
-            bi, er, ei = np.zeros_like(br), np.zeros_like(br), np.zeros_like(br)
+            b = np.ones((M.shape[1], Gc.shape[1]), dtype=complex)
+            e = np.zeros_like(b)
             for row in M:
-                # acc * f = (b*fb, b*fe + e*fb), each complex product spelled
-                # out in float64: numpy's complex128 array multiply fuses
-                # multiply-adds and would not round as the scalar products do
-                xr, xi, yr, yi = (a[Gc[row]] for a in parts)
-                er, ei = (br * yr - bi * yi + (er * xr - ei * xi),
-                          br * yi + bi * yr + (er * xi + ei * xr))
-                br, bi = br * xr - bi * xi, br * xi + bi * xr
-            for out, re, im in ((rest[0], br, bi), (rest[1], er, ei)):
-                out.real[lo: lo + step] = np.add.reduce(re, axis=0, initial=0.0)
-                out.imag[lo: lo + step] = np.add.reduce(im, axis=0, initial=0.0)
+                fb, fe = body[Gc[row]], eps[Gc[row]]
+                b, e = b * fb, b * fe + e * fb
+            rest[0, lo: lo + step] = np.add.reduce(b, axis=0, initial=0)
+            rest[1, lo: lo + step] = np.add.reduce(e, axis=0, initial=0)
         vals = {}
         for word, rest_b, rest_e in zip(words, *rest):
             lead = DualScalar(1.0)
@@ -481,8 +474,8 @@ def make_mixed_t(moment_fn: MomentFn) -> TFn:
 
 @dataclass(frozen=True)
 class WordCheckReport:
-    """Largest |body| and |eps| of a per-word dual value, the first word to
-    reach each, and the number of words checked."""
+    """Largest |body| and |eps| of a per-word dual value (NaN if a word's is
+    NaN), the first word to reach each, and the number of words checked."""
 
     max_body: float
     max_eps: float
@@ -492,7 +485,8 @@ class WordCheckReport:
 
 
 def scan_words(value: Callable[[Word], DualScalar], words: Iterable[Word]) -> WordCheckReport:
-    """Evaluate value on each word; keep the first word reaching each maximum."""
+    """Evaluate value on each word; keep the first word reaching each maximum,
+    where a NaN part exceeds every number (the first NaN word holds it)."""
     max_body = max_eps = 0.0
     wb: Word = ()
     we: Word = ()
@@ -500,9 +494,9 @@ def scan_words(value: Callable[[Word], DualScalar], words: Iterable[Word]) -> Wo
     for word in words:
         val = value(word)
         count += 1
-        if abs(val.body) > max_body:
+        if not (isnan(max_body) or abs(val.body) <= max_body):
             max_body, wb = abs(val.body), word
-        if abs(val.eps) > max_eps:
+        if not (isnan(max_eps) or abs(val.eps) <= max_eps):
             max_eps, we = abs(val.eps), word
     return WordCheckReport(max_body, max_eps, wb, we, count)
 

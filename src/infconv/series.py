@@ -19,8 +19,6 @@ import numpy as np
 from .dual import DualScalar, json_complex, json_order
 from .errors import InvalidInputError, MathDomainError
 
-_EXACT_ZERO_TOL = 1e-12
-
 
 def _conv(a: np.ndarray, b: np.ndarray, upto: int) -> np.ndarray:
     return np.convolve(a, b)[: upto + 1]
@@ -195,7 +193,7 @@ class DualSeries:
 
     def shift_down(self) -> "DualSeries":
         """Divide by z; requires a vanishing constant term."""
-        if abs(self.body[0]) > _EXACT_ZERO_TOL or abs(self.eps[0]) > _EXACT_ZERO_TOL:
+        if self.body[0] != 0 or self.eps[0] != 0:
             raise MathDomainError("shift_down needs a vanishing constant term")
         if self.order == 0:
             raise MathDomainError("cannot shift a constant down")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import infconv
-from infconv import checks, constant_cumulant_law, convolve, law_from_transform
+from infconv import DualScalar, checks, constant_cumulant_law, convolve, law_from_transform
 from infconv.cli import main
 from infconv.laws import InfLaw
 
@@ -540,6 +540,27 @@ def test_a_nan_eps_part_fails_selftest_and_the_gate(capsys, monkeypatch, module,
     assert f"FAIL {line}: " in out
     with pytest.raises(AssertionError):
         getattr(importlib.import_module("test_acceptance"), criterion)()
+
+
+def test_nan_mixed_words_fail_selftest_and_the_gate(capsys, monkeypatch):
+    # a NaN word must hold the word scans' maxima at NaN, not leave them at 0
+    real = checks.free_mixed_moments
+
+    def nan_mixed(lawX, lawY):
+        phi = real(lawX, lawY)
+        return lambda word: phi(word) if len(set(word)) == 1 else DualScalar(np.nan, np.nan)
+
+    monkeypatch.setattr(checks, "free_mixed_moments", nan_mixed)
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert "FAIL cumulant and t-coefficient routes: mixed_t_words deviates nan" in out
+    assert "FAIL triangular block routes: centered_words deviates nan" in out
+    assert out.strip().splitlines()[-1] == "6 passed, 2 failed"
+    gate = importlib.import_module("test_acceptance")
+    for criterion in ("test_criterion_5_t_coefficient_identities",
+                      "test_criterion_8_centered_alternating_words"):
+        with pytest.raises(AssertionError):
+            getattr(gate, criterion)()
 
 
 def test_selftest_reports_a_control_that_vanishes(capsys, monkeypatch):

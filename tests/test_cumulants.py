@@ -45,6 +45,7 @@ from infconv.cumulants import (
     _nc_types,
     _product_rule,
     _size_key,
+    scan_words,
 )
 
 CATALAN = [1.0, 2.0, 5.0, 14.0, 42.0, 132.0, 429.0, 1430.0]
@@ -479,6 +480,20 @@ def test_mixed_t_detects_boolean_pair():
     assert report.max_body > 1e-3
 
 
+def test_scan_words_holds_the_first_nan():
+    values = {("x", "y"): DualScalar(2.0, np.nan), ("y", "x"): DualScalar(np.nan, 1.0),
+              ("x", "x", "y"): DualScalar(5.0, 3.0), ("y", "y", "x"): DualScalar(np.nan, np.nan)}
+    rep = scan_words(values.__getitem__, values)
+    assert np.isnan(rep.max_body) and rep.worst_body_word == ("y", "x")
+    assert np.isnan(rep.max_eps) and rep.worst_eps_word == ("x", "y")
+    assert rep.words_checked == 4
+    # finite scans keep the first word reaching each maximum
+    finite = {("x", "y"): DualScalar(2.0, -3.0), ("y", "x"): DualScalar(-2.0, 1.0)}
+    rep = scan_words(finite.__getitem__, finite)
+    assert (rep.max_body, rep.worst_body_word) == (2.0, ("x", "y"))
+    assert (rep.max_eps, rep.worst_eps_word) == (3.0, ("x", "y"))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_mixed_plan_has_one_plan_per_partition_but_the_full_block(n):
     subsets, plans = _mixed_plan(n)
@@ -505,9 +520,8 @@ def test_mixed_level_slots_decode_to_subwords(n):
     assert [tuple(col) for col in M.T] == list(plans)
 
 
-def test_mixed_plan_matches_literal_linked_sum():
-    rng = np.random.default_rng(32)
-    phi = boolean_mixed_moments(rand_complex_law(rng, 6), rand_complex_law(rng, 6))
+def _literal_mixed_t(phi):
+    """t over the literal NCL(n), one t_pi_value per partition, memoized."""
     cache = {}
 
     def t_literal(word):
@@ -526,6 +540,13 @@ def test_mixed_plan_matches_literal_linked_sum():
                 cache[word] = (phi(word) - rest) / lead
         return cache[word]
 
+    return t_literal
+
+
+def test_mixed_plan_matches_literal_linked_sum():
+    rng = np.random.default_rng(32)
+    phi = boolean_mixed_moments(rand_complex_law(rng, 6), rand_complex_law(rng, 6))
+    t_literal = _literal_mixed_t(phi)
     t = make_mixed_t(phi)
     compared = 0
     for n in range(2, 7):
@@ -542,6 +563,21 @@ def test_mixed_plan_matches_literal_linked_sum():
             compared += 1
     # the other 62 of the 114 mixed words vanish to rounding (below 1e-13)
     assert compared == 52
+
+
+@pytest.mark.parametrize("model", [free_mixed_moments, boolean_mixed_moments],
+                         ids=["free", "boolean"])
+def test_mixed_plan_is_exact_on_real_laws(model):
+    # with real factors every complex product has a zero imaginary part, so
+    # the array products round as the scalar t_pi_value chain does
+    rng = np.random.default_rng(33)
+    phi = model(rand_law(rng, K=6), rand_law(rng, K=6))
+    t_literal = _literal_mixed_t(phi)
+    t = make_mixed_t(phi)
+    for n in range(1, 7):
+        for word in itertools.product("xy", repeat=n):
+            got, want = t(word), t_literal(word)
+            assert (got.body, got.eps) == (want.body, want.eps)
 
 
 def test_make_mixed_t_needs_invertible_means():

@@ -189,9 +189,10 @@ def test_shift_up_down():
 
 
 def test_shift_down_requires_vanishing_constant():
-    f = DualSeries.from_coeffs([1.0, 2.0])
-    with pytest.raises(MathDomainError):
-        f.shift_down()
+    # the constant must be exactly 0, as compose and reversion require
+    for const in (1.0, 1e-13, DualScalar(0.0, 1e-13)):
+        with pytest.raises(MathDomainError):
+            DualSeries.from_coeffs([const, 2.0]).shift_down()
 
 
 def test_eps_split_recombine():
