@@ -230,6 +230,17 @@ CATALOGUE = (
         "            raise MathDomainError(\"shift_down",
         ("tests/test_dual_series.py::test_shift_down_requires_vanishing_constant",),
     ),
+    Mutation(
+        "series-pads-coefficients", "src/infconv/series.py",
+        "        if self.body.shape != (n,) or self.eps.shape != (n,):\n"
+        "            raise InvalidInputError(",
+        "        self.body, self.eps = (np.concatenate((a, np.zeros(n)))[:n]\n"
+        "                               for a in (self.body, self.eps))\n"
+        "        if False:\n"
+        "            raise InvalidInputError(",
+        ("tests/test_dual_series.py::"
+         "test_constructor_takes_exactly_order_plus_one_coefficients",),
+    ),
     # -- wishart --
     Mutation(
         "gamma-shape", "src/infconv/wishart.py",
@@ -242,6 +253,19 @@ CATALOGUE = (
         "    width = _pool_width()\n",
         "    width = _pool_width() + 1\n",
         ("tests/test_wishart.py",),
+    ),
+    Mutation(
+        "pool-permit-kept", "src/infconv/wishart.py",
+        "            idle.release()\n",
+        "            pass\n",
+        ("tests/test_wishart.py::test_slow_kernels_fill_exactly_width_slots",),
+    ),
+    # -- cli --
+    Mutation(
+        "cli-prints-non-finite", "src/infconv/cli.py",
+        "    if bad.any():\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_non_finite_results_exit_3_before_any_output",),
     ),
     # -- checks: the route pairs behind selftest and the acceptance gate --
     Mutation(

@@ -181,7 +181,9 @@ def cmd_law(args, config: dict, out) -> int:
         if kind_name is None:
             raise ConfigError("emit=transform needs --kind")
         kind = TransformKind.from_name(kind_name)
-        series = _laws.transform(kind, law)
+        with np.errstate(over="ignore", invalid="ignore"):
+            series = _laws.transform(kind, law)
+        _require_finite(kind.value, 0, series.body, series.eps)
         if fmt == "json":
             out.write(_emit_json({"kind": kind.value,
                                   "series": series.to_json_obj()}) + "\n")
@@ -197,17 +199,32 @@ def cmd_law(args, config: dict, out) -> int:
                 v = series.coeff(k)
                 out.write(f"  z^{k}: {_cfmt(v.body)} (d: {_cfmt(v.eps)})\n")
         return 0
-    if emit == "cumulants":
-        rec, first = _cum.cumulants_from_moments(law), 1
-    elif emit == "tcoeffs":
-        rec, first = _cum.t_coeffs_from_moments(law), 0
-    else:
-        raise ConfigError(f"unknown emit target {emit!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if emit == "cumulants":
+            rec, first = _cum.cumulants_from_moments(law), 1
+        elif emit == "tcoeffs":
+            rec, first = _cum.t_coeffs_from_moments(law), 0
+        else:
+            raise ConfigError(f"unknown emit target {emit!r}")
+    _require_finite(rec.ARRAYS[0], first, *(getattr(rec, a) for a in rec.ARRAYS))
     if fmt == "json":
         out.write(_emit_json(rec.to_json_obj()) + "\n")
     else:
         _write_record(rec, first, fmt, out)
     return 0
+
+
+def _require_finite(name: str, first: int, body, eps) -> None:
+    """MathDomainError naming the first entry of a result that is not finite.
+
+    Inputs are finite (json_complex rejects the rest), so such an entry comes
+    from an overflow, which this reports in place of numpy's warnings.
+    """
+    bad = ~(np.isfinite(body) & np.isfinite(eps))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise MathDomainError(f"{name}[{first + k}] is not finite ({_cfmt(body[k])}, "
+                              f"eps part {_cfmt(eps[k])}): the route overflowed")
 
 
 def _write_record(rec: DualRecord, first: int, fmt: str, out) -> None:
@@ -233,7 +250,9 @@ def cmd_convolve(args, config: dict, out) -> int:
     K = _pick(args, config, "K", None)
     order = _pick(args, config, "order", "yx")
     fmt = _pick(args, config, "format", "pretty")
-    product = convolve_by_transform(kind, lawx, lawy, K=K, order=order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = convolve_by_transform(kind, lawx, lawy, K=K, order=order)
+    _require_finite("product m", 1, product.m, product.m_prime)
     report = None
     if args.verify:
         vk = K if K is not None else min(lawx.K, lawy.K)

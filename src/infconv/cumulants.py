@@ -33,7 +33,7 @@ the T-series or the moment power rows, and the full-block table is never
 derived from the NC(n - 1) types that the interval route sums.  Words in
 several letters (make_mixed_t, t_pi_value) cannot be grouped; make_mixed_t
 sums the literal NCL(n) for all 2^n words in x, y of one length at once,
-along cached factor plans (_mixed_plan) laid out as index arrays
+along factor plans laid out as index arrays and cached per length
 (_mixed_level), multiplied as complex arrays.
 
 Both freeness word checks take a mixed-moment model (MomentFn) and return a
@@ -76,7 +76,7 @@ TypeCounts = tuple[tuple[tuple[int, ...], int], ...]
 TypeTable = tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
 
 
-# Literal NC(n) and NCL(n) lists.  Only _mixed_plan reads _ncl (mixed words
+# Literal NC(n) and NCL(n) lists.  Only _mixed_level reads _ncl (mixed words
 # have no block types); no table reads either.  perfbench/tracing.py counts
 # _ncl lookups and reads both caches' statistics.
 @lru_cache(maxsize=32)
@@ -365,28 +365,6 @@ def _factor_positions(pi: LinkedPartition) -> list[tuple[int, ...]]:
             + [(k - 1,) for k in non_minimal_elements(pi)])
 
 
-# (distinct factor subsets as 0-based index tuples, factor ids per partition)
-MixedPlan = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
-
-
-@lru_cache(maxsize=16)
-def _mixed_plan(n: int) -> MixedPlan:
-    """Factor plans of the t_pi summands of a length-n word.
-
-    For every partition of NCL(n) except the single block, in _ncl order,
-    the ids of its factors as t_pi_value multiplies them: one subset per
-    block, then one singleton per non-minimal element.  Ids index the
-    distinct subsets, so a word evaluates t once per subset.
-    """
-    ids: dict[tuple[int, ...], int] = {}
-    plans = []
-    for pi in _ncl(n):
-        if pi.num_blocks == 1:
-            continue
-        plans.append(tuple(ids.setdefault(pos, len(ids)) for pos in _factor_positions(pi)))
-    return tuple(ids), tuple(plans)
-
-
 # The bit code of a word (x = 0, y = 1, first letter most significant) is
 # its index in product(LETTERS, repeat=n).  A level solve runs its words in
 # chunks of at most _LEVEL_CHUNK (plans x words) entries.
@@ -395,16 +373,25 @@ _LEVEL_CHUNK = 1 << 14
 
 
 @lru_cache(maxsize=16)
-def _mixed_level(n: int) -> tuple[np.ndarray, np.ndarray, tuple[Word, ...]]:
-    """_mixed_plan(n) laid out for all 2^n words in LETTERS at once.
+def _mixed_level(n: int) -> tuple:
+    """(subsets, G, M, words): the factor plans of the t_pi summands, laid
+    out for all 2^n words in LETTERS at once.
 
-    G[k, w] is the flat slot of the subword of words[w] on subset k: a
+    Each partition of NCL(n) but the single block has a plan, in _ncl order:
+    the ids of its factors as t_pi_value multiplies them, one subset per
+    block, then one singleton per non-minimal element.  Ids index `subsets`,
+    the distinct factor subsets, so a word evaluates t once per subset.
+
+    G[k, w] is the flat slot of the subword of words[w] on subsets[k]: a
     length-L subword with bit code c sits at slot 2^L - 2 + c, so slots
     0..2^n - 3 hold every word shorter than n.  M[j, p] is the id of plan
     p's factor j.  Every plan has n factors (each element is the minimum of
     one block or a t_0 factor), so M is a full (n, plans) matrix.
     """
-    subsets, plans = _mixed_plan(n)
+    ids: dict[tuple[int, ...], int] = {}
+    plans = [[ids.setdefault(pos, len(ids)) for pos in _factor_positions(pi)]
+             for pi in _ncl(n) if pi.num_blocks > 1]
+    subsets = tuple(ids)
     words = tuple(product(LETTERS, repeat=n))
     bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     G = np.empty((len(subsets), 2 ** n), dtype=np.intp)
@@ -412,7 +399,7 @@ def _mixed_level(n: int) -> tuple[np.ndarray, np.ndarray, tuple[Word, ...]]:
         L = len(sub)
         G[k] = 2 ** L - 2 + bits[:, list(sub)] @ (1 << np.arange(L - 1, -1, -1))
     M = np.array(plans, dtype=np.intp).reshape(-1, n).T
-    return G, M, words
+    return subsets, G, M, words
 
 
 def make_mixed_t(moment_fn: MomentFn) -> TFn:
@@ -436,7 +423,7 @@ def make_mixed_t(moment_fn: MomentFn) -> TFn:
                 if v.body == 0:
                     raise MathDomainError(f"mean of letter {letter!r} must be invertible")
             return vals
-        G, M, words = _mixed_level(n)
+        _, G, M, words = _mixed_level(n)
         known = [cache[w] for L in range(1, n) for w in product(LETTERS, repeat=L)]
         body = np.array([v.body for v in known], dtype=complex)
         eps = np.array([v.eps for v in known], dtype=complex)

@@ -28,17 +28,15 @@ class DualSeries:
     __slots__ = ("order", "body", "eps")
 
     def __init__(self, order: int, body=None, eps=None):
+        """Copies body and eps, each of exactly order + 1 coefficients; None is zero."""
         if order < 0:
             raise InvalidInputError("series order must be >= 0")
         self.order = order
-        self.body = np.zeros(order + 1, dtype=complex)
-        self.eps = np.zeros(order + 1, dtype=complex)
-        if body is not None:
-            b = np.asarray(body, dtype=complex)
-            self.body[: min(len(b), order + 1)] = b[: order + 1]
-        if eps is not None:
-            e = np.asarray(eps, dtype=complex)
-            self.eps[: min(len(e), order + 1)] = e[: order + 1]
+        n = order + 1
+        self.body = np.zeros(n, dtype=complex) if body is None else np.array(body, dtype=complex)
+        self.eps = np.zeros(n, dtype=complex) if eps is None else np.array(eps, dtype=complex)
+        if self.body.shape != (n,) or self.eps.shape != (n,):
+            raise InvalidInputError(f"a series of order {order} takes {n} coefficients")
 
     # -- constructors ------------------------------------------------------
 
@@ -69,7 +67,7 @@ class DualSeries:
         return s
 
     def copy(self) -> "DualSeries":
-        return DualSeries(self.order, self.body.copy(), self.eps.copy())
+        return DualSeries(self.order, self.body, self.eps)
 
     def truncated(self, order: int) -> "DualSeries":
         if order > self.order:
@@ -203,8 +201,7 @@ class DualSeries:
 
     def eps_split(self) -> tuple["DualSeries", "DualSeries"]:
         """Split into two plain series (body part, eps part)."""
-        return (DualSeries(self.order, self.body.copy(), None),
-                DualSeries(self.order, self.eps.copy(), None))
+        return DualSeries(self.order, self.body), DualSeries(self.order, self.eps)
 
     @staticmethod
     def recombine(body: "DualSeries", eps: "DualSeries") -> "DualSeries":

@@ -348,67 +348,17 @@ def _pool_width() -> int:
     return max(1, cpus // budget)
 
 
-def _trial_pool(width: int):
-    """A pool of width - 1 threads, or a null context (no pool) at width 1."""
-    if width == 1:
-        return nullcontext()
-    # imported here: it pulls in logging, which import and estimates skip
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(width - 1)
-
-
-class _TrialPipeline:
-    """Runs product-trial kernels on the calling thread and an optional pool.
-
-    `run(out, t, *args)` stores `_reduced_product_trace_powers(*args)` in
-    out[t]: on a pool thread if one of `width - 1` is idle, else on the
-    calling thread before returning.  So at most `width` kernels are in
-    flight, and the caller never holds more than the one draw it is making.
-    `wait()` returns once every slot is filled, and re-raises the first
-    error a pool thread hit.
-    """
-
-    def __init__(self, pool, width: int):
-        self._pool = pool
-        self._idle = threading.Semaphore(width - 1)
-        self._futures: list = []
-
-    def run(self, out: np.ndarray, t: int, *args) -> None:
-        self._reap(block=False)
-        if self._idle.acquire(blocking=False):
-            self._futures.append(self._pool.submit(self._work, out, t, args))
-        else:
-            out[t] = _reduced_product_trace_powers(*args)
-
-    def wait(self) -> None:
-        self._reap(block=True)
-
-    def _work(self, out: np.ndarray, t: int, args: tuple) -> None:
-        try:
-            out[t] = _reduced_product_trace_powers(*args)
-        finally:
-            self._idle.release()
-
-    def _reap(self, block: bool) -> None:
-        pending = []
-        for f in self._futures:
-            if block or f.done():
-                f.result()
-            else:
-                pending.append(f)
-        self._futures = pending
+def _inline(out: np.ndarray, t: int, *args) -> None:
+    out[t] = _reduced_product_trace_powers(*args)
 
 
 def _product_lane(M: int, N: int, trials: int, k_max: int,
-                  rng: np.random.Generator,
-                  pipeline: _TrialPipeline | None = None) -> np.ndarray:
+                  rng: np.random.Generator, run=_inline) -> np.ndarray:
     """tr_N((X1 X2)^k) for one lane of product trials, shape (trials, k_max).
 
-    Without a pipeline every trial runs inline.  With one, rows may still be
-    in flight on return; they are filled once `pipeline.wait()` returns.
+    `run(out, t, *args)` fills out[t] with `_reduced_product_trace_powers(*args)`,
+    inline by default; the one `_all_lanes` passes may leave rows in flight.
     """
-    if pipeline is None:
-        pipeline = _TrialPipeline(None, 1)
     d2, e2 = _bidiagonal_gammas(M, N, trials, rng)
     n = d2.shape[1]
     d, e = np.sqrt(d2), np.sqrt(e2)
@@ -417,7 +367,7 @@ def _product_lane(M: int, N: int, trials: int, k_max: int,
         # only the first n columns of G2 reach H = G2 F
         g = rng.standard_normal((M, 2 * n)).view(np.complex128)
         g *= _SQRT_HALF
-        pipeline.run(out, t, g, d[t], e[t], N, k_max)
+        run(out, t, g, d[t], e[t], N, k_max)
     return out
 
 
@@ -434,15 +384,39 @@ def _size_lanes(cfg: WishartConfig, N: int, tag: int, lane_fn) -> list:
 
 
 def _all_lanes(cfg: WishartConfig, tag: int, product: bool) -> list:
-    """Lane values for every size of cfg.N_list; product trials pipelined."""
+    """Lane values for every size of cfg.N_list; product trials pipelined.
+
+    A pool thread's error re-raises once the last draw is made.
+    """
     if not product:
         return [_size_lanes(cfg, N, tag, _single_lane) for N in cfg.N_list]
     width = _pool_width()
-    with _trial_pool(width) as pool:
-        pipeline = _TrialPipeline(pool, width)
-        lane_fn = partial(_product_lane, pipeline=pipeline)
-        lanes = [_size_lanes(cfg, N, tag, lane_fn) for N in cfg.N_list]
-        pipeline.wait()
+    if width == 1:
+        pool = nullcontext()
+    else:
+        # imported here: it pulls in logging, which import and estimates skip
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(width - 1)
+    idle = threading.Semaphore(width - 1)
+    futures = []
+
+    def work(out: np.ndarray, t: int, args: tuple) -> None:
+        try:
+            _inline(out, t, *args)
+        finally:
+            idle.release()
+
+    def run(out: np.ndarray, t: int, *args) -> None:
+        if idle.acquire(blocking=False):
+            futures.append(pool.submit(work, out, t, args))
+        else:
+            _inline(out, t, *args)
+
+    with pool:
+        lanes = [_size_lanes(cfg, N, tag, partial(_product_lane, run=run))
+                 for N in cfg.N_list]
+        for f in futures:
+            f.result()
     return lanes
 
 

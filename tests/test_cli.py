@@ -333,6 +333,26 @@ def test_convolve_short_laws_exit_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+# a finite law on which the routes overflow
+HUGE_LAW = {"K": 4, "m": [1e308, 1e308, 1e308, 1e308]}
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (("law", "--emit", "cumulants"), "kappa[2]"),
+    (("law", "--emit", "transform", "--kind", "eta_plain"), "eta_plain[2]"),
+    (("convolve", "--kind", "boolean", "--verify", "--format", "json"), "product m[1]"),
+], ids=["cumulants", "eta_plain", "boolean-verify-json"])
+def test_non_finite_results_exit_3_before_any_output(capsys, tmp_path, argv, entry):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_LAW))
+    files = ("--in", str(path)) if argv[0] == "law" else ("--law-x", str(path),
+                                                          "--law-y", str(path))
+    code, out, err = run(capsys, argv[0], *files, *argv[1:])
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {entry} is not finite")
+
+
 # -- pinned record output ------------------------------------------------------------
 
 # One complex-valued law, so that the [re, im] JSON entries and the a+bj text

@@ -39,9 +39,9 @@ from infconv import (
 )
 from infconv.checks import catalan_schroder, rand_law
 from infconv.cumulants import (
+    _factor_positions,
     _linked_full_types,
     _mixed_level,
-    _mixed_plan,
     _nc_types,
     _product_rule,
     _size_key,
@@ -496,15 +496,17 @@ def test_scan_words_holds_the_first_nan():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_mixed_plan_has_one_plan_per_partition_but_the_full_block(n):
-    subsets, plans = _mixed_plan(n)
-    assert len(plans) == len(enumerate_ncl(n)) - 1
+    subsets, _, M, _ = _mixed_level(n)
+    assert M.shape[1] == len(enumerate_ncl(n)) - 1
     assert len(set(subsets)) == len(subsets)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_mixed_level_slots_decode_to_subwords(n):
-    subsets, plans = _mixed_plan(n)
-    G, M, words = _mixed_level(n)
+    subsets, G, M, words = _mixed_level(n)
+    ids = {sub: k for k, sub in enumerate(subsets)}
+    plans = [tuple(ids[pos] for pos in _factor_positions(pi))
+             for pi in enumerate_ncl(n) if pi.num_blocks > 1]
     assert words == tuple(itertools.product("xy", repeat=n))
 
     def decode(slot):

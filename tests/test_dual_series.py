@@ -238,6 +238,19 @@ def test_truncation_is_projection():
     assert np.allclose(g.body, f.body[:5])
 
 
+def test_constructor_takes_exactly_order_plus_one_coefficients():
+    # short input is not padded with zeros, long input is not truncated
+    for body, eps in (([1, 2], None), ([0] * 5, None), ([0] * 4, np.zeros(3))):
+        with pytest.raises(InvalidInputError):
+            DualSeries(3, body, eps)
+    body = np.array([1, 2, 3, 4], dtype=complex)
+    f = DualSeries(3, body, np.ones(4))
+    g = f.copy()
+    body[0] = f.body[1] = 7  # the constructor copies, so copy() shares nothing
+    assert f.body.tolist() == [1, 7, 3, 4] and f.eps.tolist() == [1] * 4
+    assert g.body.tolist() == [1, 2, 3, 4]
+
+
 def test_json_roundtrip():
     rng = np.random.default_rng(7)
     f = _rand_series(rng, order=6)

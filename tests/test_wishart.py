@@ -9,6 +9,7 @@ import os
 import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -320,9 +321,10 @@ PIPELINE_CONFIGS = [
 
 
 def _count_kernels(monkeypatch, delay=0.0):
-    """Wrap the trial kernel; returns its peak concurrency and its threads."""
+    """Wrap the trial kernel; returns its peak concurrency, its threads and
+    the number of kernels each thread ran."""
     lock = threading.Lock()
-    seen = {"now": 0, "peak": 0, "threads": set()}
+    seen = {"now": 0, "peak": 0, "threads": set(), "kernels": Counter()}
     kernel = wishart._reduced_product_trace_powers
 
     def counted(*args):
@@ -330,6 +332,7 @@ def _count_kernels(monkeypatch, delay=0.0):
             seen["now"] += 1
             seen["peak"] = max(seen["peak"], seen["now"])
             seen["threads"].add(threading.get_ident())
+            seen["kernels"][threading.get_ident()] += 1
         try:
             time.sleep(delay)
             return kernel(*args)
@@ -366,6 +369,11 @@ def test_slow_kernels_fill_exactly_width_slots(monkeypatch, width):
     product_experiment(cfg)
     assert seen["peak"] == width
     assert len(seen["threads"]) == width
+    # a kernel hands its permit back: the pool keeps taking trials instead of
+    # stopping after its first width - 1
+    kernels = seen["kernels"]
+    assert sum(kernels.values()) == 40
+    assert sum(kernels.values()) - kernels[threading.get_ident()] >= 10
 
 
 def test_pipeline_under_thread_switch_stress(monkeypatch):

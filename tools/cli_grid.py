@@ -57,6 +57,8 @@ FILES = {
     "kfrac.json": '{"K": 2.5, "m": [1, 2], "m_prime": [0, 0]}',
     "nan.json": '{"K": 3, "m": [NaN, 2.0, 5.0]}',
     "infinity.json": '{"K": 2, "m": [1.0, 2.0], "m_prime": [Infinity, -Infinity]}',
+    # finite, but the routes overflow on it
+    "huge.json": '{"K": 4, "m": [1e308, 1e308, 1e308, 1e308]}',
     "cfg.txt": "format=json\nK=3\nkind=t\n",
     "cfg_noeq.txt": "format json\n",
     "cfg_unknown.txt": "colour=red\n",
@@ -98,7 +100,9 @@ def grid() -> list[tuple[list[str], str]]:
               ["law", "--in", "kinf.json", "--emit", "cumulants"],
               ["law", "--in", "kfrac.json", "--emit", "cumulants"],
               ["law", "--in", "nan.json", "--emit", "tcoeffs"],
-              ["law", "--in", "infinity.json", "--emit", "tcoeffs"]]
+              ["law", "--in", "infinity.json", "--emit", "tcoeffs"],
+              ["law", "--in", "huge.json", "--emit", "cumulants"],
+              ["law", "--in", "huge.json", "--emit", "transform", "--kind", "eta_plain"]]
     pairs = (("real6.json", "real6.json"), ("cplx6.json", "real6.json"),
              ("k1x.json", "k1y.json"), ("cat10.json", "pm10.json"))
     for x, y in pairs:
@@ -116,7 +120,9 @@ def grid() -> list[tuple[list[str], str]]:
               ["convolve", "--kind", "free", "--law-x", "zeromean.json", "--law-y",
                "real6.json"],
               ["convolve", "--kind", "free", "--law-x", "kinf.json", "--law-y", "real6.json"],
-              ["convolve", "--kind", "free", "--law-x", "kfrac.json", "--law-y", "real6.json"]]
+              ["convolve", "--kind", "free", "--law-x", "kfrac.json", "--law-y", "real6.json"],
+              ["convolve", "--kind", "boolean", "--law-x", "huge.json", "--law-y", "huge.json",
+               "--verify", "--format", "json"]]
     wish = ["wishart", "--c", "1", "--cprime", "1", "--N", "16,32", "--trials", "20",
             "--kmax", "2", "--seed", "7"]
     calls += [wish + ["--format", fmt] for fmt in FORMATS]
