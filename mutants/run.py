@@ -187,6 +187,29 @@ CATALOGUE = (
         ("tests/test_cumulants.py::test_scan_words_holds_the_first_nan",
          "tests/test_cli.py::test_nan_mixed_words_fail_selftest_and_the_gate"),
     ),
+    Mutation(
+        "power-rows-drop-eps-term", "src/infconv/cumulants.py",
+        "ae + (mb * pe + me * pb)",
+        "ae + (mb * pe)",
+        ("tests/test_cumulants.py::test_power_rows_match_gap_sum_recursion",),
+    ),
+    # -- laws --
+    Mutation(
+        "shifted-drops-power-eps", "src/infconv/laws.py",
+        "pb * 0.0 + pe * b",
+        "pb * 0.0",
+        # a real constant has powers with zero eps: only dual constants see it
+        ("tests/test_laws_transforms.py::test_shifted_is_bit_identical_to_dual_reference",),
+    ),
+    Mutation(
+        "overflow-reported-as-vanishing", "src/infconv/laws.py",
+        "        if not (np.isfinite(f.body).all() and np.isfinite(f.eps).all()):\n",
+        "        if False:\n",
+        ("tests/test_laws_transforms.py::"
+         "test_zero_origin_of_an_overflowed_series_is_reported_as_overflow",
+         "tests/test_convolve.py::test_free_transform_overflow_is_reported_as_overflow",
+         "tests/test_cli.py::test_overflowed_free_product_exits_3_naming_the_overflow"),
+    ),
     # -- triangular: centered alternating words --
     Mutation(
         "centered-drops-centering", "src/infconv/triangular.py",
@@ -205,9 +228,26 @@ CATALOGUE = (
     ),
     Mutation(
         "boolean-sweep-run-not-extended", "src/infconv/convolve.py",
-        "add((cur, r + 1), w)",
-        "add((cur, r), w)",
+        "add((cur, r + 1), wb, we)",
+        "add((cur, r), wb, we)",
         ("tests/test_convolve.py::test_boolean_sweep_matches_word_expansion",),
+    ),
+    Mutation(
+        "monotone-readout-drops-eps-term", "src/infconv/convolve.py",
+        "te + (wb * ae + we * ab)",
+        "te + (wb * ae)",
+        ("tests/test_convolve.py::test_monotone_sweep_is_bit_identical_to_dual_reference",
+         "tests/test_convolve.py::test_monotone_sweep_matches_word_expansion"),
+    ),
+    Mutation(
+        # For scalar laws the xy and yx moments are equal, so no test on values
+        # (with a tolerance) tells the two sweeps apart; operator-valued data would
+        # (ROADMAP item 8).  The two sweeps round differently, though, and the
+        # bit-for-bit comparison with the literal xy sweep sees that.
+        "monotone-xy-as-yx", "src/infconv/convolve.py",
+        'block = ("y", "a") if order == "yx" else ("a", "y")',
+        'block = ("y", "a")',
+        ("tests/test_convolve.py::test_monotone_sweep_is_bit_identical_to_dual_reference",),
     ),
     Mutation(
         "boolean-oracle-limit", "src/infconv/convolve.py",
@@ -239,7 +279,9 @@ CATALOGUE = (
         "        if False:\n"
         "            raise InvalidInputError(",
         ("tests/test_dual_series.py::"
-         "test_constructor_takes_exactly_order_plus_one_coefficients",),
+         "test_constructor_takes_exactly_order_plus_one_coefficients",
+         "tests/test_dual_series.py::"
+         "test_from_coeffs_takes_exactly_order_plus_one_coefficients"),
     ),
     # -- wishart --
     Mutation(
@@ -287,15 +329,6 @@ CATALOGUE = (
         ("tests/test_cli.py::test_selftest_reports_a_control_that_vanishes",),
     ),
     # -- known survivors --
-    Mutation(
-        "monotone-xy-as-yx", "src/infconv/convolve.py",
-        'block = ("y", "a") if order == "yx" else ("a", "y")',
-        'block = ("y", "a")',
-        ("tests/test_convolve.py",),
-        survives="for scalar laws the xy and yx monotone moments are equal, "
-                 "so no value test tells the two sweeps apart; operator-valued "
-                 "data separates them (ROADMAP item 8)",
-    ),
     Mutation(
         "wishart-n-plus-one", "src/infconv/wishart.py",
         "return [t * n / N for t in trace_powers(y, k_max)]",

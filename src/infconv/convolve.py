@@ -3,16 +3,21 @@
 Each product kind is computed along two fully independent routes:
 
 * an oracle that expands words letter by letter straight from the relevant
-  infinitesimal independence definition, over dual scalars (the Boolean and
-  monotone oracles sum all subsequence words in one run-tracking sweep over
-  the factor sequence of the K-th moment, reading every lower moment off
-  its prefixes; ``monotone_word_moment`` is the word-by-word reference),
-  and
+  infinitesimal independence definition (the Boolean and monotone oracles
+  sum all subsequence words in one run-tracking sweep over the factor
+  sequence of the K-th moment, reading every lower moment off its
+  prefixes), and
 * the transform identity (dual T product, dual eta-tilde product, or dual
   kappa/rho composition) followed by moment recovery.
 
 ``verify`` reports the largest deviation between the two routes in the body
 and eps components separately.
+
+The free recursion and both sweeps run on raw (body, eps) pairs with the
+Leibniz rule written out, (ab, ae)(bb, be) = (ab bb, ab be + ae bb), in
+DualScalar's operation order, so they return its numbers bit for bit; the
+word-level references (monotone_word_moment, boolean_mixed_moments) stay on
+DualScalar.
 
 Conventions: the free and Boolean oracles take the laws of x and y and
 return the law of xy resp. (1+x)(1+y).  The monotone oracle follows the
@@ -205,32 +210,37 @@ def oracle_boolean_product(lawX: InfLaw, lawY: InfLaw, K: int) -> InfLaw:
     every moment, reading out after each ("x", "y") pair.
     """
     _check_oracle_K(ProductKind.BOOLEAN, lawX, lawY, K)
-    laws = {"x": lawX, "y": lawY}
-    # states: (current run letter or None, run length) -> dual weight
-    states: dict[tuple, DualScalar] = {(None, 0): DualScalar(1.0)}
+    # m~_0..m~_K of each letter; m~_0 is DualScalar(1.0)
+    mom = {"x": [(1.0, 0.0)] + lawX.pairs()[:K], "y": [(1.0, 0.0)] + lawY.pairs()[:K]}
+    # states: (current run letter or None, run length) -> (body, eps) weight
+    states: dict[tuple, tuple] = {(None, 0): (1.0, 0.0)}
     out = []
     for _ in range(K):
         for letter in ("x", "y"):
-            new: dict[tuple, DualScalar] = {}
+            new: dict[tuple, tuple] = {}
 
-            def add(key, val):
-                new[key] = new.get(key, DualScalar(0.0)) + val
+            def add(key, b, e):
+                ob, oe = new.get(key, (0.0, 0.0))
+                new[key] = (ob + b, oe + e)
 
-            for (cur, r), w in states.items():
-                add((cur, r), w)  # skip this factor
+            for (cur, r), (wb, we) in states.items():
+                add((cur, r), wb, we)  # skip this factor
                 if cur == letter:
-                    add((cur, r + 1), w)
-                else:
-                    if cur is None:
-                        add((letter, 1), w)
-                    else:
-                        add((letter, 1), w * laws[cur].dual_moment(r))
+                    add((cur, r + 1), wb, we)
+                elif cur is None:
+                    add((letter, 1), wb, we)
+                else:  # close the run: times the dual moment m_cur(r)
+                    mb, me = mom[cur][r]
+                    add((letter, 1), wb * mb, wb * me + we * mb)
             states = new
-        total = DualScalar(0.0)
-        for (cur, r), w in states.items():
-            total = total + (w if cur is None else w * laws[cur].dual_moment(r))
-        out.append(total)
-    return InfLaw.from_moments(out)
+        tb = te = 0.0
+        for (cur, r), (wb, we) in states.items():
+            if cur is not None:
+                mb, me = mom[cur][r]
+                wb, we = wb * mb, wb * me + we * mb
+            tb, te = tb + wb, te + we
+        out.append((tb, te))
+    return InfLaw(K, *zip(*out))
 
 
 def oracle_monotone_product(
@@ -256,11 +266,10 @@ def oracle_monotone_product(
     if order not in ("yx", "xy"):
         raise InvalidInputError("order must be 'yx' or 'xy'")
     lawA = shifted(lawX.truncated(K), -1.0)
-    my = [lawY.dual_moment(r) for r in range(K + 1)]
-    ma = [lawA.dual_moment(p) for p in range(K + 1)]
+    my, ma = [(1.0, 0.0)] + lawY.pairs()[:K], [(1.0, 0.0)] + lawA.pairs()
     block = ("y", "a") if order == "yx" else ("a", "y")
-    # states: (a's taken, open y-run length) -> dual weight
-    states: dict[tuple, DualScalar] = {(0, 0): DualScalar(1.0)}
+    # states: (a's taken, open y-run length) -> (body, eps) weight
+    states: dict[tuple, tuple] = {(0, 0): (1.0, 0.0)}
     out = []
     for _ in range(K):
         for letter in block:
@@ -268,14 +277,19 @@ def oracle_monotone_product(
                 states = {(p, r + 1): w for (p, r), w in states.items()}
                 continue
             new = dict(states)  # skip the a
-            for (p, r), w in states.items():  # take the a, closing the run
-                new[(p + 1, 0)] = new.get((p + 1, 0), DualScalar(0.0)) + w * my[r]
+            for (p, r), (wb, we) in states.items():  # take the a, closing the run
+                yb, ye = my[r]
+                ob, oe = new.get((p + 1, 0), (0.0, 0.0))
+                new[(p + 1, 0)] = (ob + wb * yb, oe + (wb * ye + we * yb))
             states = new
-        total = DualScalar(0.0)
-        for (p, r), w in states.items():
-            total = total + w * my[r] * ma[p]
-        out.append(total)
-    return InfLaw.from_moments(out)
+        tb = te = 0.0
+        for (p, r), (wb, we) in states.items():  # close the last run, times m_a(p)
+            yb, ye = my[r]
+            wb, we = wb * yb, wb * ye + we * yb
+            ab, ae = ma[p]
+            tb, te = tb + wb * ab, te + (wb * ae + we * ab)
+        out.append((tb, te))
+    return InfLaw(K, *zip(*out))
 
 
 # -- transform route ---------------------------------------------------------

@@ -1,9 +1,11 @@
 """Free cumulants, infinitesimal cumulants, and t-coefficients.
 
-Moment/cumulant conversion runs over dual scalars, so the eps component
-implements the infinitesimal (primed) recursion automatically.  It reads
-the first-block gap sums [z^r] M(z)^s off power rows of the moment series,
-built once per call in O(K^3).  The literal partition sums (NC(n)
+Moment/cumulant conversion runs on raw (body, eps) pairs, with the eps
+part of each product written out by the Leibniz rule in the operation
+order of DualScalar's product and sum, so the eps components carry the
+infinitesimal (primed) recursion.  It reads the first-block gap sums
+[z^r] M(z)^s off power rows of the moment series, built once per call in
+O(K^3).  The literal partition sums (NC(n)
 cumulant recursion, linked-partition t-sums) are separate code paths and
 serve as cross-checks in the test suite.
 
@@ -129,24 +131,26 @@ def cumulants_from_moments(law: InfLaw) -> CumulantVector:
     first block has s elements and the n - s others fill its s gaps.
     """
     K = law.K
-    m = [DualScalar(1.0)] + [law.dual_moment(n) for n in range(1, K + 1)]
+    m = [(1.0, 0.0)] + law.pairs()
     P = _power_rows(K)
-    kap: list[DualScalar] = []
+    kap: list[tuple] = []
     for n in range(1, K + 1):
         _extend_power_rows(P, m, n)
-        acc = m[n]
+        ab, ae = m[n]
         for s in range(1, n):
-            acc = acc - kap[s - 1] * P[s][n - s]
-        kap.append(acc)
-    return CumulantVector(K, [k.body for k in kap], [k.eps for k in kap])
+            kb, ke = kap[s - 1]
+            pb, pe = P[s][n - s]
+            ab, ae = ab - kb * pb, ae - (kb * pe + ke * pb)
+        kap.append((ab, ae))
+    return CumulantVector(K, *zip(*kap))
 
 
-def _power_rows(K: int) -> list[list[DualScalar]]:
+def _power_rows(K: int) -> list[list[tuple]]:
     """Rows P[s] = [z^r] M(z)^s for s = 0..K, filled by _extend_power_rows."""
-    return [[DualScalar(1.0 if r == 0 else 0.0) for r in range(K)]] + [[] for _ in range(K)]
+    return [[(1.0, 0.0)] + [(0.0, 0.0)] * (K - 1)] + [[] for _ in range(K)]
 
 
-def _extend_power_rows(P: list[list[DualScalar]], m: Sequence[DualScalar], n: int) -> None:
+def _extend_power_rows(P: list[list[tuple]], m: Sequence[tuple], n: int) -> None:
     """Append the antidiagonal s + r = n: P[s][n - s] for s = 1..n.
 
     Needs m_0..m_(n-1) and the antidiagonals below n, so each direction of
@@ -156,24 +160,29 @@ def _extend_power_rows(P: list[list[DualScalar]], m: Sequence[DualScalar], n: in
     for s in range(1, n + 1):
         r = n - s
         prev = P[s - 1]
-        acc = DualScalar(0.0)
+        ab = ae = 0.0
         for g in range(r + 1):
-            acc = acc + m[g] * prev[r - g]
-        P[s].append(acc)
+            mb, me = m[g]
+            pb, pe = prev[r - g]
+            ab, ae = ab + mb * pb, ae + (mb * pe + me * pb)
+        P[s].append((ab, ae))
 
 
 def moments_from_cumulants(cum: CumulantVector) -> InfLaw:
     """Invert the interval recursion; exact inverse of cumulants_from_moments."""
     K = cum.K
-    m: list[DualScalar] = [DualScalar(1.0)]
+    kap = cum.pairs()
+    m: list[tuple] = [(1.0, 0.0)]
     P = _power_rows(K)
     for n in range(1, K + 1):
         _extend_power_rows(P, m, n)
-        acc = DualScalar(0.0)
+        ab = ae = 0.0
         for s in range(1, n + 1):
-            acc = acc + cum.dual(s) * P[s][n - s]
-        m.append(acc)
-    return InfLaw.from_moments(m[1:])
+            kb, ke = kap[s - 1]
+            pb, pe = P[s][n - s]
+            ab, ae = ab + kb * pb, ae + (kb * pe + ke * pb)
+        m.append((ab, ae))
+    return InfLaw(K, *zip(*m[1:]))
 
 
 def constant_cumulant_law(c, c_prime=0.0, K: int = 8) -> InfLaw:

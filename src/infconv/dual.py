@@ -131,6 +131,10 @@ class DualRecord:
         object.__setattr__(self, body, b)
         object.__setattr__(self, eps, e)
 
+    def pairs(self) -> list[tuple[complex, complex]]:
+        """The K entries as raw (body, eps) pairs of Python complex numbers."""
+        return list(zip(*(getattr(self, a).tolist() for a in self.ARRAYS)))
+
     def max_abs_diff(self, other: "DualRecord") -> tuple[float, float]:
         """Largest |body| and |eps| gaps over the first min(K) entries."""
         k = min(self.K, other.K)

@@ -109,19 +109,28 @@ class InfLaw(DualRecord):
 
 
 def shifted(law: InfLaw, c) -> InfLaw:
-    """Law of x + c for a dual or complex constant c (binomial transform)."""
+    """Law of x + c for a dual or complex constant c (binomial transform).
+
+    Runs on raw (body, eps) pairs in DualScalar's operation order.
+    """
     cv = DualScalar.of(c)
-    powers = [DualScalar(1.0)]
+    cb, ce = cv.body, cv.eps
+    powers = [(1.0, 0.0)]
     for _ in range(law.K):
-        powers.append(powers[-1] * cv)
-    moments = [law.dual_moment(j) for j in range(law.K + 1)]
+        pb, pe = powers[-1]
+        powers.append((pb * cb, pb * ce + pe * cb))
+    moments = [(1.0, 0.0)] + law.pairs()
     out = []
     for n in range(1, law.K + 1):
-        acc = DualScalar(0.0)
+        ab = ae = 0.0
         for j in range(0, n + 1):
-            acc = acc + math.comb(n, j) * powers[n - j] * moments[j]
-        out.append(acc)
-    return InfLaw.from_moments(out)
+            pb, pe = powers[n - j]
+            b = complex(math.comb(n, j))  # DualScalar.of(comb) is (b, 0.0)
+            pb, pe = pb * b, pb * 0.0 + pe * b
+            mb, me = moments[j]
+            ab, ae = ab + pb * mb, ae + (pb * me + pe * mb)
+        out.append((ab, ae))
+    return InfLaw(law.K, *zip(*out))
 
 
 def scaled(law: InfLaw, c) -> InfLaw:
@@ -257,8 +266,7 @@ def law_from_transform(kind: TransformKind, f: DualSeries) -> InfLaw:
     if kind is TransformKind.S:
         return _law_from_s(f)
     if kind is TransformKind.T:
-        if f.body[0] == 0:
-            raise MathDomainError("T must not vanish at 0")
+        _require_origin(f, "T")
         return _law_from_s(f.inv())
     raise InvalidInputError(f"unknown transform kind: {kind}")
 
@@ -274,9 +282,16 @@ def _law_from_psi(p: DualSeries) -> InfLaw:
     return InfLaw(p.order, p.body[1:], p.eps[1:])
 
 
+def _require_origin(f: DualSeries, name: str) -> None:
+    """f(0) needs a nonzero body; a zero beside a non-finite entry is an overflow."""
+    if f.body[0] == 0:
+        if not (np.isfinite(f.body).all() and np.isfinite(f.eps).all()):
+            raise MathDomainError(f"the {name} transform overflowed: it holds a non-finite entry")
+        raise MathDomainError(f"{name} must not vanish at 0")
+
+
 def _law_from_s(s: DualSeries) -> InfLaw:
-    if s.body[0] == 0:
-        raise MathDomainError("S must not vanish at 0")
+    _require_origin(s, "S")
     w = DualSeries.identity(s.order)
     pinv = (s * _one_plus(w).inv()).shift_up()
     return _law_from_psi(pinv.reversion())

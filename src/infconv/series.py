@@ -57,14 +57,11 @@ class DualSeries:
 
     @staticmethod
     def from_coeffs(coeffs, order: int | None = None) -> "DualSeries":
+        """Exactly order + 1 coefficients (all of them when order is None)."""
         vals = [DualScalar.of(c) for c in coeffs]
         if order is None:
             order = len(vals) - 1
-        s = DualSeries(order)
-        for k, v in enumerate(vals[: order + 1]):
-            s.body[k] = v.body
-            s.eps[k] = v.eps
-        return s
+        return DualSeries(order, [v.body for v in vals], [v.eps for v in vals])
 
     def copy(self) -> "DualSeries":
         return DualSeries(self.order, self.body, self.eps)

@@ -353,6 +353,15 @@ def test_non_finite_results_exit_3_before_any_output(capsys, tmp_path, argv, ent
     assert err.startswith(f"error: {entry} is not finite")
 
 
+def test_overflowed_free_product_exits_3_naming_the_overflow(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"K": 4, "m": [1e200] * 4}))
+    code, out, err = run(capsys, "convolve", "--law-x", str(path), "--law-y", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: the S transform overflowed")
+
+
 # -- pinned record output ------------------------------------------------------------
 
 # One complex-valued law, so that the [re, im] JSON entries and the a+bj text

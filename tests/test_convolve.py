@@ -139,6 +139,83 @@ def test_boolean_sweep_matches_word_expansion():
                 assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
 
+def _dual_monotone_sweep(lawX, lawY, K, order):
+    """oracle_monotone_product's sweep in DualScalar arithmetic, the bit-level reference."""
+    lawA = shifted(lawX.truncated(K), -1.0)
+    my = [lawY.dual_moment(r) for r in range(K + 1)]
+    ma = [lawA.dual_moment(p) for p in range(K + 1)]
+    block = ("y", "a") if order == "yx" else ("a", "y")
+    states = {(0, 0): DualScalar(1.0)}
+    out = []
+    for _ in range(K):
+        for letter in block:
+            if letter == "y":
+                states = {(p, r + 1): w for (p, r), w in states.items()}
+                continue
+            new = dict(states)
+            for (p, r), w in states.items():
+                new[(p + 1, 0)] = new.get((p + 1, 0), DualScalar(0.0)) + w * my[r]
+            states = new
+        total = DualScalar(0.0)
+        for (p, r), w in states.items():
+            total = total + w * my[r] * ma[p]
+        out.append(total)
+    return InfLaw.from_moments(out)
+
+
+def _dual_boolean_sweep(lawX, lawY, K):
+    """oracle_boolean_product's sweep in DualScalar arithmetic, the bit-level reference."""
+    laws = {"x": lawX, "y": lawY}
+    states = {(None, 0): DualScalar(1.0)}
+    out = []
+    for _ in range(K):
+        for letter in ("x", "y"):
+            new = {}
+
+            def add(key, val):
+                new[key] = new.get(key, DualScalar(0.0)) + val
+
+            for (cur, r), w in states.items():
+                add((cur, r), w)
+                if cur == letter:
+                    add((cur, r + 1), w)
+                else:
+                    if cur is None:
+                        add((letter, 1), w)
+                    else:
+                        add((letter, 1), w * laws[cur].dual_moment(r))
+            states = new
+        total = DualScalar(0.0)
+        for (cur, r), w in states.items():
+            total = total + (w if cur is None else w * laws[cur].dual_moment(r))
+        out.append(total)
+    return InfLaw.from_moments(out)
+
+
+def _assert_same_law(got, want):
+    assert np.array_equal(got.m, want.m)
+    assert np.array_equal(got.m_prime, want.m_prime)
+
+
+@pytest.mark.parametrize("order", ["yx", "xy"])
+def test_monotone_sweep_is_bit_identical_to_dual_reference(order):
+    rng = np.random.default_rng(70)
+    for _ in range(3):
+        lawX, lawY = _rand_complex_law(rng, 8), _rand_complex_law(rng, 8)
+        for K in range(1, 9):
+            _assert_same_law(oracle_monotone_product(lawX, lawY, K, order=order),
+                             _dual_monotone_sweep(lawX, lawY, K, order))
+
+
+def test_boolean_sweep_is_bit_identical_to_dual_reference():
+    rng = np.random.default_rng(71)
+    for _ in range(3):
+        lawX, lawY = _rand_complex_law(rng, 8), _rand_complex_law(rng, 8)
+        for K in range(1, 9):
+            _assert_same_law(oracle_boolean_product(lawX, lawY, K),
+                             _dual_boolean_sweep(lawX, lawY, K))
+
+
 def test_monotone_orders_rotate_onto_each_other():
     # a^b1 y a^b2 y ... a^bk y rotates to y a^b2 y ... a^bk y a^b1: a bijection
     # from the words of (a? y)^k onto those of (y a?)^k keeping the y-runs, so
@@ -206,6 +283,15 @@ def test_free_transform_route_at_a_single_moment():
         route = convolve_by_transform(ProductKind.FREE, lx, ly)
         assert route.K == 1
         assert max(route.max_abs_diff(oracle_free_product(lx, ly, 1))) < 1e-14
+
+
+def test_free_transform_overflow_is_reported_as_overflow():
+    # moments 10^e: the T product overflows, and S = 1/T reads [0, nan, ...]
+    for e in range(160, 301, 10):
+        law = InfLaw(4, [10.0 ** e] * 4, [0.0] * 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(MathDomainError, match="the S transform overflowed"):
+                convolve_by_transform(ProductKind.FREE, law, law)
 
 
 def test_free_product_with_unit_point_mass_is_identity():

@@ -251,6 +251,15 @@ def test_constructor_takes_exactly_order_plus_one_coefficients():
     assert g.body.tolist() == [1, 2, 3, 4]
 
 
+def test_from_coeffs_takes_exactly_order_plus_one_coefficients():
+    # like the constructor: neither padded with zeros nor truncated
+    for coeffs, order in (([1.0, 2.0], 5), ([1.0, 2.0, 3.0], 1)):
+        with pytest.raises(InvalidInputError):
+            DualSeries.from_coeffs(coeffs, order=order)
+    f = DualSeries.from_coeffs([1.0, DualScalar(2.0, 0.5)], order=1)
+    assert f.body.tolist() == [1, 2] and f.eps.tolist() == [0, 0.5]
+
+
 def test_json_roundtrip():
     rng = np.random.default_rng(7)
     f = _rand_series(rng, order=6)

@@ -4,6 +4,8 @@ Frozen reference points: the point mass at 1 and the free Poisson law
 with unit rate (moment sequence = Catalan numbers, T(w) = 1 + w).
 """
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,37 @@ def test_shift_roundtrip():
     back = shifted(shifted(law, 0.75), -0.75)
     d = law.max_abs_diff(back)
     assert max(d) < 1e-12
+
+
+def _dual_shifted(law, c):
+    """shifted's binomial transform in DualScalar arithmetic, the bit-level reference."""
+    cv = DualScalar.of(c)
+    powers = [DualScalar(1.0)]
+    for _ in range(law.K):
+        powers.append(powers[-1] * cv)
+    moments = [law.dual_moment(j) for j in range(law.K + 1)]
+    out = []
+    for n in range(1, law.K + 1):
+        acc = DualScalar(0.0)
+        for j in range(0, n + 1):
+            acc = acc + comb(n, j) * powers[n - j] * moments[j]
+        out.append(acc)
+    return InfLaw.from_moments(out)
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+def test_shifted_is_bit_identical_to_dual_reference(K):
+    rng = np.random.default_rng(60 + K)
+    for _ in range(3):
+        m = rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K)
+        mp = rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K)
+        law = InfLaw(K, m, mp)
+        drawn = DualScalar(complex(*rng.uniform(-2, 2, 2)), complex(*rng.uniform(-1, 1, 2)))
+        for c in (1.0, -1.0, 0.5 - 0.75j, DualScalar(0.75, 0.5 - 0.25j),
+                  DualScalar(-1.25, -0.5 + 0.125j), drawn):
+            got, want = shifted(law, c), _dual_shifted(law, c)
+            assert np.array_equal(got.m, want.m), c
+            assert np.array_equal(got.m_prime, want.m_prime), c
 
 
 def test_scaled_moments():
@@ -218,6 +251,16 @@ def test_law_from_t_rejects_vanishing_origin():
     f = DualSeries.identity(4)
     with pytest.raises(MathDomainError):
         law_from_transform(TransformKind.T, f)
+
+
+def test_zero_origin_of_an_overflowed_series_is_reported_as_overflow():
+    for kind in (TransformKind.T, TransformKind.S):
+        name = kind.value.upper()
+        for f in (DualSeries(2, [0, np.inf, 1]), DualSeries(2, [0, 1, 0], [0, 0, np.nan])):
+            with pytest.raises(MathDomainError, match=f"the {name} transform overflowed"):
+                law_from_transform(kind, f)
+        with pytest.raises(MathDomainError, match=f"{name} must not vanish at 0"):
+            law_from_transform(kind, DualSeries.identity(2))
 
 
 def test_transform_kind_from_name():

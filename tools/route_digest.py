@@ -14,10 +14,11 @@ Routes: the free, Boolean and monotone ("yx" and "xy") oracles and
 ``convolve_by_transform`` for K = 1..8; ``make_mixed_t`` on every word of
 length n <= 6 and the ``mixed_vanishing_check`` reports, for the free and
 the Boolean mixed-moment models; ``t_coeffs_from_moments``,
-``moments_from_t``, both ``kappa_from_t`` routes, ``inf_cumulants_direct``
-and ``cumulants_from_moments``.  The laws are drawn here from numpy
-generators, not by the package, so both trees read the same numbers.  Not
-part of the test suite; runs in well under 30 s.
+``moments_from_t``, both ``kappa_from_t`` routes, ``inf_cumulants_direct``,
+``cumulants_from_moments``, ``moments_from_cumulants`` on its output, and
+``shifted`` by a dual constant of either sign.  The laws are drawn here
+from numpy generators, not by the package, so both trees read the same
+numbers.  Not part of the test suite; runs in well under 30 s.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ MIXED_PAIRS = 40  # law pairs for the mixed-t routes
 LAWS = 60         # single laws for the cumulant and t-coefficient routes
 MAX_K = 8
 MIXED_LEN = 6
+# dual constants (body, eps) of x + c for the shifted rows; fixed, so that the
+# generator stream of the laws stays as it was before these rows
+SHIFTS = (("+", (0.75 + 0.25j, 0.5 - 0.25j)), ("-", (-1.25 + 0.5j, -0.5 + 0.125j)))
 
 
 def rand_complex(rng: np.random.Generator, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,6 +125,9 @@ def main() -> int:
         dig.add("inf_cumulants_direct", ic.inf_cumulants_direct(x))
         cv = ic.cumulants_from_moments(x)
         dig.add("cumulants_from_moments", cv.kappa, cv.kappa_prime)
+        add_law("moments_from_cumulants", ic.moments_from_cumulants(cv))
+        for sign, c in SHIFTS:
+            add_law(f"shifted {sign}", ic.shifted(x, ic.DualScalar(*c)))
 
     dig.print()
     return 0
